@@ -20,7 +20,7 @@ void
 Dot::init(uint64_t seed)
 {
     Rng rng(seed);
-    result_ = 0.0;
+    result_.reset();
     for (size_t i = 0; i < n_; ++i) {
         x_[i] = rng.nextDouble(-1.0, 1.0);
         y_[i] = rng.nextDouble(-1.0, 1.0);

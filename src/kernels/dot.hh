@@ -40,10 +40,10 @@ class Dot : public Kernel
     void init(uint64_t seed) override;
     void run(NativeEngine &e, int part, int nparts) override;
     void run(SimEngine &e, int part, int nparts) override;
-    double checksum() const override { return result_; }
+    double checksum() const override { return result_.total(); }
 
     /** @return the accumulated dot product over all run partitions. */
-    double result() const { return result_; }
+    double result() const { return result_.total(); }
 
   private:
     template <typename E>
@@ -73,11 +73,11 @@ class Dot : public Kernel
         }
         e.loop((hi - lo + static_cast<size_t>(w) - 1) /
                static_cast<size_t>(w));
-        result_ += acc; // partitions combine additively
+        result_.add(part, nparts, acc);
     }
 
     size_t n_;
-    double result_ = 0.0;
+    PartialSums result_;
     AlignedBuffer<double> x_;
     AlignedBuffer<double> y_;
 };

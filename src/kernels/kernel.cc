@@ -22,6 +22,21 @@ partitionRange(size_t n, int part, int nparts, size_t align)
     return {lo, hi};
 }
 
+void
+PartialSums::add(int part, int nparts, double partial)
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    if (reported_ == 0)
+        parts_.assign(static_cast<size_t>(nparts), 0.0);
+    RFL_ASSERT(static_cast<int>(parts_.size()) == nparts);
+    parts_[static_cast<size_t>(part)] = partial;
+    if (++reported_ < nparts)
+        return;
+    for (double p : parts_)
+        total_ += p;
+    reported_ = 0;
+}
+
 double
 Kernel::expectedWarmTrafficBytes(uint64_t llc_bytes) const
 {

@@ -19,8 +19,10 @@
 #define RFL_KERNELS_KERNEL_HH
 
 #include <cmath>
+#include <mutex>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "kernels/engine.hh"
 #include "support/rng.hh"
@@ -35,6 +37,37 @@ namespace rfl::kernels
  */
 std::pair<size_t, size_t> partitionRange(size_t n, int part, int nparts,
                                          size_t align = 8);
+
+/**
+ * Running total of a reduction kernel (dot, sum, strided) whose
+ * partitions may run concurrently: NativeMeasurer runs each on its own
+ * host thread. Each partition reports its partial sum; once all
+ * @p nparts partitions of a run have reported, the partials are added
+ * to the total in partition order. The total is thus bit-identical to
+ * running the partitions one after another, and no two threads ever
+ * write it at once.
+ */
+class PartialSums
+{
+  public:
+    /** Report partition @p part's partial sum for the current run. */
+    void add(int part, int nparts, double partial);
+    /** @return the total; read only while no partition is running. */
+    double total() const { return total_; }
+    /** Start over, dropping the partials of a run cut short. */
+    void
+    reset()
+    {
+        total_ = 0.0;
+        reported_ = 0;
+    }
+
+  private:
+    std::mutex mu_;
+    std::vector<double> parts_; // this run's partials, by partition
+    int reported_ = 0;
+    double total_ = 0.0;
+};
 
 /** Abstract measurable workload. */
 class Kernel

@@ -33,7 +33,7 @@ void
 StridedSum::init(uint64_t seed)
 {
     Rng rng(seed);
-    result_ = 0.0;
+    result_.reset();
     for (size_t i = 0; i < x_.size(); ++i)
         x_[i] = rng.nextDouble(-1.0, 1.0);
 }

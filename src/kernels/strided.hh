@@ -45,7 +45,7 @@ class StridedSum : public Kernel
     void init(uint64_t seed) override;
     void run(NativeEngine &e, int part, int nparts) override;
     void run(SimEngine &e, int part, int nparts) override;
-    double checksum() const override { return result_; }
+    double checksum() const override { return result_.total(); }
 
     size_t stride() const { return stride_; }
 
@@ -60,12 +60,12 @@ class StridedSum : public Kernel
         for (size_t i = lo; i < hi; ++i)
             acc = e.add(acc, e.load(x + i * stride_));
         e.loop(hi - lo);
-        result_ += acc;
+        result_.add(part, nparts, acc);
     }
 
     size_t n_;
     size_t stride_;
-    double result_ = 0.0;
+    PartialSums result_;
     AlignedBuffer<double> x_;
 };
 

@@ -38,9 +38,9 @@ class SumReduction : public Kernel
     void init(uint64_t seed) override;
     void run(NativeEngine &e, int part, int nparts) override;
     void run(SimEngine &e, int part, int nparts) override;
-    double checksum() const override { return result_; }
+    double checksum() const override { return result_.total(); }
 
-    double result() const { return result_; }
+    double result() const { return result_.total(); }
 
   private:
     template <typename E>
@@ -64,11 +64,11 @@ class SumReduction : public Kernel
             acc = e.add(acc, e.load(x + i));
         e.loop((hi - lo + static_cast<size_t>(w) - 1) /
                static_cast<size_t>(w));
-        result_ += acc;
+        result_.add(part, nparts, acc);
     }
 
     size_t n_;
-    double result_ = 0.0;
+    PartialSums result_;
     AlignedBuffer<double> x_;
 };
 

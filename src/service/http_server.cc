@@ -14,6 +14,7 @@
 
 #include "service/net_util.hh"
 #include "support/failpoint.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 
 namespace rfl::service
@@ -442,7 +443,7 @@ HttpServer::serveConnection(int fd, const std::string &clientAddr)
             resp = HttpResponse{};
             resp.status = 500;
             resp.body = "{\"error\":\"internal: " +
-                        net::jsonEscape(e.what()) + "\"}";
+                        jsonEscape(e.what()) + "\"}";
         }
 
         const bool clientClose =

@@ -6,7 +6,6 @@
 
 #include "support/cancel.hh"
 #include "support/logging.hh"
-#include "support/thread_pool.hh"
 #include "telemetry/sim_counters.hh"
 
 namespace rfl::sim
@@ -47,10 +46,6 @@ Machine::Machine(const MachineConfig &cfg)
     cores_.resize(static_cast<size_t>(cores));
     ntCombine_.resize(static_cast<size_t>(cores), ~0ull);
     fast_.resize(static_cast<size_t>(cores));
-    scratch_.resize(static_cast<size_t>(cores));
-    runMasks_.resize(static_cast<size_t>(cores));
-    sharedOps_.resize(static_cast<size_t>(cores));
-    epochImages_.resize(static_cast<size_t>(cores));
 }
 
 void
@@ -145,9 +140,8 @@ Machine::accessLineFull(int core, uint64_t line_addr, bool write)
     // The DCU (L1) prefetcher observes the L1 access stream. Separate
     // per-level scratch buffers: the L1 candidate list stays intact
     // while the L2 observer runs (the old shared vector forced a copy
-    // here to avoid aliasing). Per core so parallel drain workers never
-    // share one.
-    CoreScratch &scratch = scratch_[static_cast<size_t>(core)];
+    // here to avoid aliasing).
+    PfScratch &scratch = scratch_;
     scratch.l1.clear();
     if (prefetchEnabled_)
         observePf(*l1pf_[core], cfg_.l1Prefetcher.kind, line_addr,
@@ -170,42 +164,26 @@ Machine::accessLineFull(int core, uint64_t line_addr, bool write)
             fillL1(core, line_addr, write, false);
         } else {
             cc.l3FillBytes += lineBytes_;
-            if (deferShared_) [[unlikely]] {
-                // Parallel session: the L3 lookup, IMC/DRAM traffic and
-                // this access's latency add replay at merge, at exactly
-                // this position in the core's op stream (before the
-                // private fills' eviction writebacks, like the classic
-                // path). `latency` stays 0 so the add below is skipped.
-                sharedOps_[core].push_back(
-                    {SharedOp::Kind::DemandMiss, line_addr, 0.0});
+            const bool l3_hit = l3_[socket]->lookup(line_addr, false);
+            if (l3_hit) {
+                latency = cfg_.l3.latencyCycles;
             } else {
-                const bool l3_hit = l3_[socket]->lookup(line_addr, false);
-                if (l3_hit) {
-                    latency = cfg_.l3.latencyCycles;
-                } else {
-                    const int owner = homeSocket(byte_addr, socket);
-                    imcs_[owner].read(false);
-                    const bool remote = owner != socket;
-                    latency =
-                        cfg_.dramLatencyCycles() *
-                        (remote ? cfg_.remoteNumaLatencyFactor : 1.0);
-                    double bytes = lineBytes_;
-                    if (remote)
-                        bytes /= cfg_.remoteNumaBandwidthFactor;
-                    cc.dramFillBytes += static_cast<uint64_t>(bytes);
-                    fillL3(core, line_addr, false, false);
-                }
+                const int owner = homeSocket(byte_addr, socket);
+                imcs_[owner].read(false);
+                const bool remote = owner != socket;
+                latency = cfg_.dramLatencyCycles() *
+                          (remote ? cfg_.remoteNumaLatencyFactor : 1.0);
+                double bytes = lineBytes_;
+                if (remote)
+                    bytes /= cfg_.remoteNumaBandwidthFactor;
+                cc.dramFillBytes += static_cast<uint64_t>(bytes);
+                fillL3(core, line_addr, false, false);
             }
             fillL2(core, line_addr, false, false);
             fillL1(core, line_addr, write, false);
         }
     }
-    if (!deferShared_) [[likely]] {
-        cc.latencyCycles += latency;
-    } else if (latency != 0.0) {
-        // L2-hit latency: merge-owned double accumulator, ordered add.
-        sharedOps_[core].push_back({SharedOp::Kind::LatAdd, 0, latency});
-    }
+    cc.latencyCycles += latency;
 
     // The accessed line is resident now (hit, or just filled): admit it
     // to the resident-line filter, remembering its L1 way (the last L1
@@ -236,14 +214,7 @@ Machine::prefetchLine(int core, uint64_t line_addr, int level)
     bool from_dram = false;
     const bool in_l2 = level <= 1 && l2_[core]->contains(line_addr);
     if (!in_l2 && !(level == 2 && l2_[core]->contains(line_addr))) {
-        if (deferShared_) [[unlikely]] {
-            // The L3 probe + possible DRAM fetch replay at merge. The
-            // private charges below do not depend on from_dram when this
-            // block was entered (level <= 1 implies !in_l2 here, which
-            // already decides the l3FillBytes charge).
-            sharedOps_[core].push_back(
-                {SharedOp::Kind::PrefetchL3, line_addr, 0.0});
-        } else if (!l3_[socket]->contains(line_addr)) {
+        if (!l3_[socket]->contains(line_addr)) {
             const uint64_t byte_addr = line_addr << lineShift_;
             const int owner = homeSocket(byte_addr, socket);
             imcs_[owner].read(true);
@@ -313,11 +284,6 @@ Machine::writebackToL2(int core, uint64_t line_addr)
 void
 Machine::writebackToL3(int core, uint64_t line_addr)
 {
-    if (deferShared_) [[unlikely]] {
-        sharedOps_[core].push_back(
-            {SharedOp::Kind::WritebackL3, line_addr, 0.0});
-        return;
-    }
     const int socket = socketOf(core);
     if (l3_[socket]->setDirty(line_addr))
         return;
@@ -361,17 +327,9 @@ Machine::storeNT(int core, uint64_t addr, uint32_t bytes)
         fs.dropLine(line);
         l1_[core]->invalidate(line);
         l2_[core]->invalidate(line);
+        l3_[socket]->invalidate(line);
         const int owner = homeSocket(line << lineShift_, socket);
-        if (deferShared_) [[unlikely]] {
-            // L3 invalidate + IMC NT write replay at merge; the byte
-            // charge below is private (owner is pure address/policy
-            // arithmetic, no shared state read).
-            sharedOps_[core].push_back(
-                {SharedOp::Kind::NtStore, line, 0.0});
-        } else {
-            l3_[socket]->invalidate(line);
-            imcs_[owner].write(true);
-        }
+        imcs_[owner].write(true);
         double wbytes = lineBytes_;
         if (owner != socket)
             wbytes /= cfg_.remoteNumaBandwidthFactor;
@@ -389,7 +347,6 @@ Machine::simulateBatch(const trace::AccessBatch &b, int core_override)
             .fetch_add(1, std::memory_order_relaxed);
         simCounters().records.fetch_add(b.n, std::memory_order_relaxed);
     });
-    int epoch_core = core_override;
     if (core_override >= 0) {
         simulateBatchSpan(b, 0, b.n, core_override);
     } else {
@@ -405,23 +362,8 @@ Machine::simulateBatch(const trace::AccessBatch &b, int core_override)
             while (j < b.n && b.core[j] == core)
                 ++j;
             simulateBatchSpan(b, i, j, core);
-            epoch_core = core;
             i = j;
         }
-    }
-    if (deferShared_) [[unlikely]] {
-        // Worker side of a parallel session: the sampling check replays
-        // at merge (EpochEnd, below), and the merge is the cancellation
-        // point. An empty batch's boundary check is always a no-op (no
-        // accesses were added since the previous boundary), so it needs
-        // no epoch mark.
-        if (samplePeriod_ && b.n != 0 && epoch_core >= 0) {
-            auto &images = epochImages_[static_cast<size_t>(epoch_core)];
-            images.push_back(capturePrivImage(epoch_core));
-            sharedOps_[static_cast<size_t>(epoch_core)].push_back(
-                {SharedOp::Kind::EpochEnd, images.size() - 1, 0.0});
-        }
-        return;
     }
     // Batch-drain boundary: the interval sampler's only check point,
     // and the simulator's only cancellation point. With no deadline
@@ -458,8 +400,7 @@ Machine::simulateBatchSpan(const trace::AccessBatch &b, uint32_t begin,
         // the modeled L2/L3 metadata). Dependent-chain streams never
         // get here — the engine's latency bypass routes them straight
         // to the per-access path.
-        simd::buildRunMasks(b, begin, end,
-                            runMasks_[static_cast<size_t>(core)]);
+        simd::buildRunMasks(b, begin, end, runMasks_);
         prefetchMissSets(b, begin, end, core);
         // The mask-driven loop amortizes its per-run mask arithmetic
         // over run length, so it pays off exactly when the producer
@@ -657,7 +598,7 @@ Machine::simulateBatchSpanSimd(const trace::AccessBatch &b,
     // identical to the scalar loop by construction (the masks are
     // definitions, not heuristics); the golden equivalence test
     // enforces it across SIMD on/off.
-    const simd::RunMasks &rm = runMasks_[static_cast<size_t>(core)];
+    const simd::RunMasks &rm = runMasks_;
     const uint64_t *const ext = rm.ext.data();
     const uint64_t *const mem = rm.mem.data();
     const uint64_t *const wrp = rm.wr.data();
@@ -894,7 +835,7 @@ void
 Machine::prefetchMissSets(const trace::AccessBatch &b, uint32_t begin,
                           uint32_t end, int core)
 {
-    const simd::RunMasks &rm = runMasks_[static_cast<size_t>(core)];
+    const simd::RunMasks &rm = runMasks_;
     const CoreFast &fs = fast_[static_cast<size_t>(core)];
     const Cache::RawView l2v = l2_[static_cast<size_t>(core)]->rawView();
     const Cache::RawView l3v =
@@ -930,190 +871,6 @@ Machine::prefetchMissSets(const trace::AccessBatch &b, uint32_t begin,
             simd::prefetchSet(l3v, line);
         }
     }
-}
-
-void
-Machine::drainParallel(
-    const std::vector<std::function<void()>> &core_work, int threads)
-{
-    RFL_ASSERT(!deferShared_);
-    RFL_ASSERT(static_cast<int>(core_work.size()) <= numCores_);
-    // Anything buffered so far belongs before the parallel session.
-    drainBatchSources();
-    for (auto &ops : sharedOps_)
-        ops.clear();
-    for (auto &images : epochImages_)
-        images.clear();
-    if (samplePeriod_) {
-        // Pre-session private images: the merge-time sampler composes
-        // snapshots starting from these (a core whose epochs have not
-        // replayed yet contributes its pre-session state, exactly as the
-        // classic core-ordered sequential drain would observe).
-        mergePriv_.clear();
-        for (int c = 0; c < numCores_; ++c)
-            mergePriv_.push_back(capturePrivImage(c));
-    }
-    deferShared_ = true;
-    try {
-        if (threads <= 1) {
-            // Same defer + merge pipeline as the threaded run, so the
-            // thread count can never change what the merge replays.
-            for (const auto &work : core_work)
-                work();
-        } else {
-            ThreadPool pool(std::min<int>(
-                threads, static_cast<int>(core_work.size())));
-            for (const auto &work : core_work)
-                pool.submit([&work] { work(); });
-            pool.wait();
-        }
-    } catch (...) {
-        deferShared_ = false;
-        throw;
-    }
-    deferShared_ = false;
-    mergeSharedOps();
-    checkCancelled("simulate");
-}
-
-Machine::PrivImage
-Machine::capturePrivImage(int core) const
-{
-    const auto c = static_cast<size_t>(core);
-    return PrivImage{cores_[c],        l1_[c]->stats(),
-                     l2_[c]->stats(),  tlbs_[c].stats(),
-                     l1pf_[c]->stats(), l2pf_[c]->stats()};
-}
-
-void
-Machine::mergeSharedOps()
-{
-#ifdef RFL_TELEMETRY
-    uint64_t telem_ops = 0;
-#endif
-    for (int c = 0; c < numCores_; ++c) {
-        std::vector<SharedOp> &ops = sharedOps_[static_cast<size_t>(c)];
-        if (ops.empty())
-            continue;
-#ifdef RFL_TELEMETRY
-        telem_ops += ops.size();
-#endif
-        const int socket = socketOf(c);
-        CoreCounters &cc = cores_[static_cast<size_t>(c)];
-        for (const SharedOp &op : ops) {
-            switch (op.kind) {
-              case SharedOp::Kind::LatAdd:
-                cc.latencyCycles += op.lat;
-                break;
-              case SharedOp::Kind::DemandMiss: {
-                // The classic path's L3/IMC/DRAM block for a demand L2
-                // miss, plus the access's latency add (the only double
-                // add of that access, so its position among the core's
-                // double adds is preserved).
-                double latency;
-                if (l3_[socket]->lookup(op.line, false)) {
-                    latency = cfg_.l3.latencyCycles;
-                } else {
-                    const uint64_t byte_addr = op.line << lineShift_;
-                    const int owner = homeSocket(byte_addr, socket);
-                    imcs_[owner].read(false);
-                    const bool remote = owner != socket;
-                    latency =
-                        cfg_.dramLatencyCycles() *
-                        (remote ? cfg_.remoteNumaLatencyFactor : 1.0);
-                    double bytes = lineBytes_;
-                    if (remote)
-                        bytes /= cfg_.remoteNumaBandwidthFactor;
-                    cc.dramFillBytes += static_cast<uint64_t>(bytes);
-                    fillL3(c, op.line, false, false);
-                }
-                cc.latencyCycles += latency;
-                break;
-              }
-              case SharedOp::Kind::PrefetchL3:
-                if (!l3_[socket]->contains(op.line)) {
-                    const uint64_t byte_addr = op.line << lineShift_;
-                    const int owner = homeSocket(byte_addr, socket);
-                    imcs_[owner].read(true);
-                    double bytes = lineBytes_;
-                    if (owner != socket)
-                        bytes /= cfg_.remoteNumaBandwidthFactor;
-                    cc.dramFillBytes += static_cast<uint64_t>(bytes);
-                    fillL3(c, op.line, false, true);
-                }
-                break;
-              case SharedOp::Kind::WritebackL3:
-                writebackToL3(c, op.line);
-                break;
-              case SharedOp::Kind::NtStore: {
-                l3_[socket]->invalidate(op.line);
-                const int owner =
-                    homeSocket(op.line << lineShift_, socket);
-                imcs_[owner].write(true);
-                break;
-              }
-              case SharedOp::Kind::EpochEnd:
-                if (samplePeriod_) {
-                    mergePriv_[static_cast<size_t>(c)] =
-                        epochImages_[static_cast<size_t>(c)]
-                                    [static_cast<size_t>(op.line)];
-                    maybeSampleMerged();
-                }
-                break;
-            }
-        }
-        ops.clear();
-    }
-#ifdef RFL_TELEMETRY
-    RFL_TELEM({
-        using telemetry::simCounters;
-        simCounters().parallelDrains.fetch_add(1,
-                                               std::memory_order_relaxed);
-        simCounters().parallelSharedOps.fetch_add(
-            telem_ops, std::memory_order_relaxed);
-    });
-#endif
-}
-
-void
-Machine::maybeSampleMerged()
-{
-    uint64_t accesses = 0;
-    for (const PrivImage &p : mergePriv_)
-        accesses += p.cc.loadUops + p.cc.storeUops;
-    if (samplePeriod_ == 0 ||
-        accesses - sampleLastAccesses_ < samplePeriod_)
-        return;
-    samples_.push_back(captureMergedSnapshot());
-    sampleLastAccesses_ = accesses;
-}
-
-Machine::Snapshot
-Machine::captureMergedSnapshot() const
-{
-    Snapshot s;
-    for (int c = 0; c < numCores_; ++c) {
-        const PrivImage &p = mergePriv_[static_cast<size_t>(c)];
-        CoreCounters cc = p.cc;
-        // The merge owns these three: take them live (the epoch image
-        // holds stale pre-session values for them — workers never write
-        // them during a session).
-        cc.latencyCycles = cores_[static_cast<size_t>(c)].latencyCycles;
-        cc.dramFillBytes = cores_[static_cast<size_t>(c)].dramFillBytes;
-        cc.dramWritebackBytes =
-            cores_[static_cast<size_t>(c)].dramWritebackBytes;
-        s.cores.push_back(cc);
-        s.l1.push_back(p.l1);
-        s.l2.push_back(p.l2);
-        s.tlbs.push_back(p.tlb);
-        s.l1pf.push_back(p.l1pf);
-        s.l2pf.push_back(p.l2pf);
-    }
-    for (int sk = 0; sk < cfg_.sockets; ++sk) {
-        s.l3.push_back(l3_[sk]->stats());
-        s.imcs.push_back(imcs_[sk].stats());
-    }
-    return s;
 }
 
 void

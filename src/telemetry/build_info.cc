@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "sim/simd_classify.hh"
+#include "support/json.hh"
 
 #ifndef RFL_GIT_SHA
 #define RFL_GIT_SHA "unknown"
@@ -31,19 +32,6 @@ compilerString()
     std::snprintf(buf, sizeof(buf), "unknown");
 #endif
     return buf;
-}
-
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        out += c;
-    }
-    return out;
 }
 
 } // namespace
@@ -82,10 +70,10 @@ std::string
 buildInfoJsonFields()
 {
     const BuildInfo &b = buildInfo();
-    return "\"git_sha\":\"" + escapeJson(b.gitSha) +
-           "\",\"compiler\":\"" + escapeJson(b.compiler) +
-           "\",\"build_type\":\"" + escapeJson(b.buildType) +
-           "\",\"simd\":\"" + escapeJson(b.simdTier) + "\"";
+    return "\"git_sha\":\"" + jsonEscape(b.gitSha) +
+           "\",\"compiler\":\"" + jsonEscape(b.compiler) +
+           "\",\"build_type\":\"" + jsonEscape(b.buildType) +
+           "\",\"simd\":\"" + jsonEscape(b.simdTier) + "\"";
 }
 
 } // namespace rfl::telemetry

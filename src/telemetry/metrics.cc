@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "support/json.hh"
 #include "support/logging.hh"
 
 namespace rfl::telemetry
@@ -23,31 +24,6 @@ formatNumber(double v)
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     return buf;
-}
-
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 /** Prometheus label-value escaping: backslash, quote, newline. */
@@ -432,14 +408,14 @@ Registry::renderJsonGrouped()
             if (!firstGroup)
                 out << ",";
             firstGroup = false;
-            out << "\"" << escapeJson(group) << "\":{";
+            out << "\"" << jsonEscape(group) << "\":{";
             openGroup = group;
             firstMember = true;
         }
         if (!firstMember)
             out << ",";
         firstMember = false;
-        out << "\"" << escapeJson(member) << "\":";
+        out << "\"" << jsonEscape(member) << "\":";
         switch (e.kind) {
           case Kind::Counter:
             out << e.counter->value();

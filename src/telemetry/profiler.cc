@@ -8,6 +8,7 @@
 #include <map>
 #include <mutex>
 #include <sstream>
+#include <thread>
 
 #if RFL_PROFILER_ENABLED
 #include <cxxabi.h>
@@ -17,6 +18,7 @@
 #include <sys/time.h>
 #endif
 
+#include "support/json.hh"
 #include "support/logging.hh"
 
 namespace rfl::telemetry
@@ -24,31 +26,6 @@ namespace rfl::telemetry
 
 namespace
 {
-
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
-}
 
 std::string
 escapeXml(const std::string &text)
@@ -86,7 +63,15 @@ struct SamplerState
 };
 
 std::mutex g_mutex;
-SamplerState *g_state = nullptr; ///< published before the timer arms
+/** Published before the timer arms, cleared before it is freed. */
+std::atomic<SamplerState *> g_state{nullptr};
+/**
+ * Handlers between entry and return. Raised before the handler loads
+ * g_state, so once stop() has cleared g_state and seen this reach
+ * zero, no handler can still touch the old state (both sides use
+ * sequentially consistent operations).
+ */
+std::atomic<int> g_handlersInFlight{0};
 bool g_running = false;
 ProfilerOptions g_opts;
 std::chrono::steady_clock::time_point g_startedAt;
@@ -94,20 +79,23 @@ std::chrono::steady_clock::time_point g_startedAt;
 extern "C" void
 rflProfilerSignalHandler(int)
 {
-    SamplerState *s = g_state;
-    if (!s || !s->armed.load(std::memory_order_acquire))
-        return;
-    const uint64_t slot = s->next.fetch_add(1, std::memory_order_relaxed);
-    if (slot >= s->maxSamples) {
-        s->dropped.fetch_add(1, std::memory_order_relaxed);
-        return;
+    g_handlersInFlight.fetch_add(1);
+    SamplerState *s = g_state.load();
+    if (s && s->armed.load(std::memory_order_acquire)) {
+        const uint64_t slot =
+            s->next.fetch_add(1, std::memory_order_relaxed);
+        if (slot < s->maxSamples) {
+            // backtrace() writes straight into this slot's frame run —
+            // no allocation, no locks. Primed in start() so libgcc is
+            // already resident.
+            void **dst = s->frames.data() + slot * s->maxDepth;
+            const int n = backtrace(dst, static_cast<int>(s->maxDepth));
+            s->depths[slot] = static_cast<uint16_t>(n > 0 ? n : 0);
+        } else {
+            s->dropped.fetch_add(1, std::memory_order_relaxed);
+        }
     }
-    // backtrace() writes straight into this slot's frame run — no
-    // allocation, no locks. Primed in start() so libgcc is already
-    // resident.
-    void **dst = s->frames.data() + slot * s->maxDepth;
-    const int n = backtrace(dst, static_cast<int>(s->maxDepth));
-    s->depths[slot] = static_cast<uint16_t>(n > 0 ? n : 0);
+    g_handlersInFlight.fetch_sub(1);
 }
 
 /** Best-effort symbol name for one return address (not in a handler). */
@@ -186,7 +174,7 @@ Profiler::start(ProfilerOptions opts)
     state->frames.assign(opts.maxSamples * opts.maxDepth, nullptr);
     state->depths.assign(opts.maxSamples, 0);
     state->armed.store(true, std::memory_order_release);
-    g_state = state;
+    g_state.store(state);
     g_opts = opts;
     g_startedAt = std::chrono::steady_clock::now();
 
@@ -220,14 +208,17 @@ Profiler::stop(const std::string &label)
     itimerval off;
     std::memset(&off, 0, sizeof(off));
     setitimer(ITIMER_PROF, &off, nullptr);
-    g_state->armed.store(false, std::memory_order_release);
+    SamplerState *state = g_state.load();
+    state->armed.store(false, std::memory_order_release);
     signal(SIGPROF, SIG_IGN);
 
-    // The timer is disarmed and the armed flag is down; any handler
-    // already past the flag check writes into preallocated slots, so
-    // reading the arrays now is safe (worst case we miss its depths
-    // store — one sample, not corruption).
-    SamplerState *state = g_state;
+    // Unpublish the state, then wait out every handler that may have
+    // loaded it: after that nothing writes the arrays, so reading and
+    // freeing them is safe. A handler interrupting this thread runs to
+    // completion before the loop resumes, so the wait cannot deadlock.
+    g_state.store(nullptr);
+    while (g_handlersInFlight.load() != 0)
+        std::this_thread::yield();
     profile.hz = g_opts.hz;
     profile.seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -281,7 +272,6 @@ Profiler::stop(const std::string &label)
     profile.stacks = collapseStacks(raw);
 
     delete state;
-    g_state = nullptr;
     g_running = false;
     return profile;
 }
@@ -352,7 +342,7 @@ renderProfileJson(const Profile &profile)
 {
     std::ostringstream out;
     out << "{\"kind\":\"rfl-profile\",\"schema_version\":1"
-        << ",\"label\":\"" << escapeJson(profile.label) << "\""
+        << ",\"label\":\"" << jsonEscape(profile.label) << "\""
         << ",\"hz\":" << profile.hz;
     char sec[32];
     std::snprintf(sec, sizeof(sec), "%.6f", profile.seconds);
@@ -361,7 +351,7 @@ renderProfileJson(const Profile &profile)
     for (size_t i = 0; i < profile.stacks.size(); ++i) {
         if (i)
             out << ",";
-        out << "{\"stack\":\"" << escapeJson(profile.stacks[i].stack)
+        out << "{\"stack\":\"" << jsonEscape(profile.stacks[i].stack)
             << "\",\"count\":" << profile.stacks[i].count << "}";
     }
     out << "]}";

@@ -55,12 +55,6 @@ registerSimCollector(Registry &registry)
     Counter &simdRunRecords = registry.counter(
         "rfl_sim_simd_run_records_total",
         "records retired inside bulk-applied runs");
-    Counter &parallelDrains = registry.counter(
-        "rfl_sim_parallel_drains_total",
-        "drainParallel sessions merged");
-    Counter &parallelOps = registry.counter(
-        "rfl_sim_parallel_shared_ops_total",
-        "deferred shared-state ops replayed by parallel-drain merges");
     return registry.addCollector([&] {
         const SimCounters &sc = simCounters();
         drains.mirror(sc.drains.load(std::memory_order_relaxed));
@@ -79,10 +73,6 @@ registerSimCollector(Registry &registry)
             sc.simdRuns.load(std::memory_order_relaxed));
         simdRunRecords.mirror(
             sc.simdRunRecords.load(std::memory_order_relaxed));
-        parallelDrains.mirror(
-            sc.parallelDrains.load(std::memory_order_relaxed));
-        parallelOps.mirror(
-            sc.parallelSharedOps.load(std::memory_order_relaxed));
     });
 }
 

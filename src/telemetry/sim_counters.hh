@@ -59,10 +59,6 @@ struct SimCounters
     std::atomic<uint64_t> simdRuns{0};
     /** Records retired inside those windows. */
     std::atomic<uint64_t> simdRunRecords{0};
-    /** drainParallel() sessions merged. */
-    std::atomic<uint64_t> parallelDrains{0};
-    /** Deferred shared-state ops replayed across all merges. */
-    std::atomic<uint64_t> parallelSharedOps{0};
 
     void
     reset()
@@ -77,8 +73,6 @@ struct SimCounters
         simdRecords = 0;
         simdRuns = 0;
         simdRunRecords = 0;
-        parallelDrains = 0;
-        parallelSharedOps = 0;
     }
 };
 

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "support/json.hh"
 #include "support/logging.hh"
 
 namespace rfl::telemetry
@@ -22,31 +23,6 @@ jsonNumber(double v)
     char buf[32];
     std::snprintf(buf, sizeof(buf), "%.9g", v);
     return buf;
-}
-
-std::string
-escapeJson(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          case '\r': out += "\\r"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    return out;
 }
 
 /** XML/HTML content + attribute escaping (same rules as analysis/svg). */
@@ -376,8 +352,8 @@ TimeSeriesSampler::renderSeriesJson() const
         if (!first)
             out << ",";
         first = false;
-        out << "{\"name\":\"" << escapeJson(id) << "\",\"unit\":\""
-            << escapeJson(s.unit) << "\",\"last\":"
+        out << "{\"name\":\"" << jsonEscape(id) << "\",\"unit\":\""
+            << jsonEscape(s.unit) << "\",\"last\":"
             << jsonNumber(s.last) << ",\"points\":[";
         const std::vector<float> pts = s.ordered();
         for (size_t i = 0; i < pts.size(); ++i) {

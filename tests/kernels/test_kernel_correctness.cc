@@ -8,7 +8,9 @@
 
 #include <cmath>
 #include <complex>
+#include <functional>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -91,6 +93,42 @@ TEST_P(PartitionInvariance, PartitionedRunMatchesSequentialRun)
     EXPECT_NEAR(seq->checksum(), par->checksum(),
                 1e-9 * std::abs(seq->checksum()) + 1e-12)
         << spec;
+}
+
+/** Reduction kernels fold their partitions' partial sums in partition
+ *  order, whatever order the partitions run or finish in: partitions
+ *  run in reverse on one thread, or concurrently on host threads as
+ *  NativeMeasurer runs them, give the forward sequential checksum bit
+ *  for bit. */
+TEST(PartitionedReduction, PartialsCombineInPartitionOrder)
+{
+    constexpr int kParts = 4;
+    for (const char *spec :
+         {"dot:n=10000", "sum:n=10000", "strided-sum:n=10000,stride=3"}) {
+        auto run_part = [](Kernel &k, int part) {
+            NativeEngine e(1, true);
+            k.run(e, part, kParts);
+        };
+        const std::unique_ptr<Kernel> forward = createKernel(spec);
+        forward->init(5);
+        for (int part = 0; part < kParts; ++part)
+            run_part(*forward, part);
+
+        const std::unique_ptr<Kernel> reverse = createKernel(spec);
+        reverse->init(5);
+        for (int part = kParts - 1; part >= 0; --part)
+            run_part(*reverse, part);
+        EXPECT_EQ(forward->checksum(), reverse->checksum()) << spec;
+
+        const std::unique_ptr<Kernel> threaded = createKernel(spec);
+        threaded->init(5);
+        std::vector<std::thread> threads;
+        for (int part = kParts - 1; part >= 0; --part)
+            threads.emplace_back(run_part, std::ref(*threaded), part);
+        for (std::thread &t : threads)
+            t.join();
+        EXPECT_EQ(forward->checksum(), threaded->checksum()) << spec;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
