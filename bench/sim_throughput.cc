@@ -20,15 +20,19 @@
  *    pointer-chase) driven through SimEngine, the end-to-end rate a
  *    campaign sweep experiences.
  *
- * Every measurement is best-of-N timed windows (N=3, 2 under
- * $RFL_FAST) so host scheduling noise cannot put a spurious regression
- * in the committed trajectory.
+ * Each workload keeps one machine per mode and times N rounds of one
+ * window per mode (N=9, 3 under $RFL_FAST), alternating the mode order
+ * from round to round. A speedup is the median over rounds of the
+ * per-round rate ratio, and a rate is the median over rounds, so host
+ * drift and scheduling noise hit both sides of a ratio alike and one
+ * outlying window cannot move the committed trajectory.
  *
  * Output: a human-readable table on stdout and a JSON trajectory file
  * (default ./BENCH_sim_throughput.json, override with argv[1]).
  * $RFL_FAST=1 shrinks sizes and measurement time for CI.
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -89,70 +93,44 @@ l1Accesses(const sim::Machine::Snapshot &delta)
 }
 
 /**
- * Run one workload in one mode: @p trials timed windows of at least
- * @p min_seconds each, best window kept. Best-of-N because the
- * interesting quantity is the simulator's attainable rate — downward
- * excursions are host scheduling noise, and ratios of single windows
- * were observed to swing +-20% on busy hosts.
+ * One mode's measurement state for one workload: its own machine (and
+ * engine, for kernel workloads) kept warm across windows, so windows of
+ * different modes can interleave. Kernel workloads share one kernel
+ * instance, so every mode simulates the same address stream.
  */
-ModeResult
-measure(const Workload &w, Mode mode, double min_seconds, int trials)
+class Runner
 {
-    sim::Machine machine(sim::MachineConfig::defaultPlatform());
-    machine.setFastPath(mode != Mode::Reference);
-    const auto dispatch = mode == Mode::Batched
-                              ? kernels::SimEngine::Dispatch::Batched
-                              : kernels::SimEngine::Dispatch::Direct;
-
-    AddressArena::Scope scope;
-    std::unique_ptr<kernels::Kernel> kernel;
-    std::unique_ptr<kernels::SimEngine> engine;
-    trace::AccessBatch raw_batch;
-    if (!w.spec.empty()) {
-        kernel = kernels::createKernel(w.spec);
-        kernel->init(1);
-        // Mirror the real drivers (Measurer, executor, phase runner):
-        // dependent-chain kernels put the machine in dependent mode,
-        // which routes the batched engine through the latency bypass.
-        machine.setDependentAccesses(kernel->dependentAccesses());
-        engine = std::make_unique<kernels::SimEngine>(machine, 0, w.lanes,
-                                                      true, dispatch);
+  public:
+    Runner(const Workload &w, Mode mode, kernels::Kernel *kernel)
+        : w_(w), mode_(mode),
+          machine_(sim::MachineConfig::defaultPlatform()), kernel_(kernel)
+    {
+        machine_.setFastPath(mode != Mode::Reference);
+        if (kernel_) {
+            // Mirror the real drivers (Measurer, executor, phase
+            // runner): dependent-chain kernels put the machine in
+            // dependent mode, which routes the batched engine through
+            // the latency bypass.
+            machine_.setDependentAccesses(kernel_->dependentAccesses());
+            engine_ = std::make_unique<kernels::SimEngine>(
+                machine_, 0, w.lanes, true,
+                mode == Mode::Batched
+                    ? kernels::SimEngine::Dispatch::Batched
+                    : kernels::SimEngine::Dispatch::Direct);
+        }
+        rep(); // warm-up: caches, TLB, prefetcher state
     }
 
-    auto rep = [&] {
-        if (kernel) {
-            kernel->run(*engine, 0, 1);
-        } else if (mode == Mode::Batched) {
-            // Raw batched loop: fill IR batches the way SimEngine does
-            // (same-line hints included), bulk-consume them.
-            const uint32_t shift = 6; // 64 B lines on the default config
-            uint64_t prev_line = ~0ull;
-            for (uint64_t a = 0; a < w.rawSpan; a += 8) {
-                if (raw_batch.full()) {
-                    machine.simulateBatch(raw_batch, 0);
-                    raw_batch.clear();
-                }
-                const uint64_t addr = (1ull << 32) + a;
-                const uint64_t line = addr >> shift;
-                raw_batch.pushMem(trace::AccessKind::Load, 0, addr, 8,
-                                  line == prev_line);
-                prev_line = line;
-            }
-            machine.simulateBatch(raw_batch, 0);
-            raw_batch.clear();
-        } else {
-            for (uint64_t a = 0; a < w.rawSpan; a += 8)
-                machine.load(0, (1ull << 32) + a, 8);
-        }
-    };
+    Runner(const Runner &) = delete;
+    Runner &operator=(const Runner &) = delete;
 
-    rep(); // warm-up: caches, TLB, prefetcher state
-
-    ModeResult best;
-    for (int t = 0; t < trials; ++t) {
+    /** One timed window of at least @p min_seconds (and 3 reps). */
+    ModeResult
+    window(double min_seconds)
+    {
         ModeResult r;
         uint64_t reps = 0;
-        const sim::Machine::Snapshot before = machine.snapshot();
+        const sim::Machine::Snapshot before = machine_.snapshot();
         const Clock::time_point t0 = Clock::now();
         Clock::time_point t1;
         do {
@@ -165,11 +143,54 @@ measure(const Workload &w, Mode mode, double min_seconds, int trials)
         r.seconds = std::chrono::duration<double>(t1 - t0).count();
         // snapshot() drains the batched engine, so buffered accesses
         // from the last rep are included.
-        r.accesses = l1Accesses(machine.snapshot() - before);
-        if (r.accessesPerSec() > best.accessesPerSec())
-            best = r;
+        r.accesses = l1Accesses(machine_.snapshot() - before);
+        return r;
     }
-    return best;
+
+  private:
+    void
+    rep()
+    {
+        if (kernel_) {
+            kernel_->run(*engine_, 0, 1);
+        } else if (mode_ == Mode::Batched) {
+            // Raw batched loop: fill IR batches the way SimEngine does
+            // (same-line hints included), bulk-consume them.
+            const uint32_t shift = 6; // 64 B lines on the default config
+            uint64_t prev_line = ~0ull;
+            for (uint64_t a = 0; a < w_.rawSpan; a += 8) {
+                if (batch_.full()) {
+                    machine_.simulateBatch(batch_, 0);
+                    batch_.clear();
+                }
+                const uint64_t addr = (1ull << 32) + a;
+                const uint64_t line = addr >> shift;
+                batch_.pushMem(trace::AccessKind::Load, 0, addr, 8,
+                               line == prev_line);
+                prev_line = line;
+            }
+            machine_.simulateBatch(batch_, 0);
+            batch_.clear();
+        } else {
+            for (uint64_t a = 0; a < w_.rawSpan; a += 8)
+                machine_.load(0, (1ull << 32) + a, 8);
+        }
+    }
+
+    const Workload &w_;
+    Mode mode_;
+    sim::Machine machine_;
+    kernels::Kernel *kernel_;
+    std::unique_ptr<kernels::SimEngine> engine_;
+    trace::AccessBatch batch_;
+};
+
+double
+median(std::vector<double> v)
+{
+    std::sort(v.begin(), v.end());
+    const size_t m = v.size() / 2;
+    return v.size() % 2 ? v[m] : 0.5 * (v[m - 1] + v[m]);
 }
 
 /** Geometric-mean accumulator over workload speedups. */
@@ -201,7 +222,7 @@ main(int argc, char **argv)
         argc > 1 ? argv[1] : "BENCH_sim_throughput.json";
     const bool fast_env = rfl::fastMode();
     const double min_seconds = fast_env ? 0.05 : 0.3;
-    const int trials = fast_env ? 2 : 3;
+    const int trials = fast_env ? 3 : 9;
     const size_t n = fast_env ? (1u << 13) : (1u << 16);
     const uint64_t raw_stream_span =
         fast_env ? (128ull << 10) : (1ull << 20);
@@ -225,10 +246,10 @@ main(int argc, char **argv)
     struct Row
     {
         Workload w;
-        ModeResult ref;
-        ModeResult fast;
-        ModeResult batched;
-        double fastSpeedup;
+        double refRate;     ///< median accesses/s over rounds
+        double fastRate;
+        double batchedRate;
+        double fastSpeedup; ///< median of per-round ratios
         double batchedSpeedup;
     };
     std::vector<Row> rows;
@@ -236,17 +257,45 @@ main(int argc, char **argv)
     Geomean batch_all, batch_stream, batch_hot;
 
     for (const Workload &w : workloads) {
-        Row row{w, measure(w, Mode::Reference, min_seconds, trials),
-                measure(w, Mode::Fast, min_seconds, trials),
-                measure(w, Mode::Batched, min_seconds, trials), 0.0, 0.0};
-        row.fastSpeedup =
-            row.fast.accessesPerSec() / row.ref.accessesPerSec();
-        row.batchedSpeedup =
-            row.batched.accessesPerSec() / row.ref.accessesPerSec();
+        AddressArena::Scope scope;
+        std::unique_ptr<kernels::Kernel> kernel;
+        if (!w.spec.empty()) {
+            kernel = kernels::createKernel(w.spec);
+            kernel->init(1);
+        }
+        Runner ref(w, Mode::Reference, kernel.get());
+        Runner fast(w, Mode::Fast, kernel.get());
+        Runner batched(w, Mode::Batched, kernel.get());
+        std::vector<double> ref_rate, fast_rate, batch_rate;
+        std::vector<double> fast_x, batch_x;
+        for (int t = 0; t < trials; ++t) {
+            // Alternate the order so a drift in host speed across a
+            // round favours neither side of a ratio.
+            ModeResult r, f, b;
+            if (t % 2 == 0) {
+                r = ref.window(min_seconds);
+                f = fast.window(min_seconds);
+                b = batched.window(min_seconds);
+            } else {
+                b = batched.window(min_seconds);
+                f = fast.window(min_seconds);
+                r = ref.window(min_seconds);
+            }
+            ref_rate.push_back(r.accessesPerSec());
+            fast_rate.push_back(f.accessesPerSec());
+            batch_rate.push_back(b.accessesPerSec());
+            fast_x.push_back(f.accessesPerSec() / r.accessesPerSec());
+            batch_x.push_back(b.accessesPerSec() / r.accessesPerSec());
+        }
+        const Row row{w,
+                      median(ref_rate),
+                      median(fast_rate),
+                      median(batch_rate),
+                      median(fast_x),
+                      median(batch_x)};
         std::printf("%-14s %13.2f %13.2f %13.2f %7.2fx %7.2fx\n", w.name,
-                    row.ref.accessesPerSec() / 1e6,
-                    row.fast.accessesPerSec() / 1e6,
-                    row.batched.accessesPerSec() / 1e6, row.fastSpeedup,
+                    row.refRate / 1e6, row.fastRate / 1e6,
+                    row.batchedRate / 1e6, row.fastSpeedup,
                     row.batchedSpeedup);
         fast_all.add(row.fastSpeedup);
         batch_all.add(row.batchedSpeedup);
@@ -277,9 +326,10 @@ main(int argc, char **argv)
     }
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"sim_throughput\",\n");
-    std::fprintf(f, "  \"schema_version\": 4,\n");
+    std::fprintf(f, "  \"schema_version\": 5,\n");
     std::fprintf(f, "  \"unit\": \"simulated_accesses_per_second\",\n");
     std::fprintf(f, "  \"rfl_fast\": %s,\n", fast_env ? "true" : "false");
+    std::fprintf(f, "  \"trials\": %d,\n", trials);
     std::fprintf(f, "  \"workloads\": [\n");
     for (size_t i = 0; i < rows.size(); ++i) {
         const Row &r = rows[i];
@@ -292,11 +342,11 @@ main(int argc, char **argv)
         std::fprintf(f, "      \"hot_loop\": %s,\n",
                      r.w.hotLoop ? "true" : "false");
         std::fprintf(f, "      \"reference_accesses_per_sec\": %.1f,\n",
-                     r.ref.accessesPerSec());
+                     r.refRate);
         std::fprintf(f, "      \"fast_accesses_per_sec\": %.1f,\n",
-                     r.fast.accessesPerSec());
+                     r.fastRate);
         std::fprintf(f, "      \"batched_accesses_per_sec\": %.1f,\n",
-                     r.batched.accessesPerSec());
+                     r.batchedRate);
         std::fprintf(f, "      \"speedup\": %.3f,\n", r.fastSpeedup);
         std::fprintf(f, "      \"batched_speedup\": %.3f\n",
                      r.batchedSpeedup);

@@ -26,13 +26,6 @@ SimEngine::materializePending()
 void
 SimEngine::flush()
 {
-    // Producer hint: in dependent-access mode the consume loop must not
-    // coalesce (each access's exposed latency is the modeled quantity).
-    // Only reachable with a non-empty batch while recording — the
-    // bypass otherwise routes dependent accesses straight to the
-    // machine — but setting it unconditionally keeps the invariant
-    // local. Not serialized; replay re-derives it from machine state.
-    batch_.dependent = machine_.dependentAccesses();
     if (!batch_.empty()) {
         if (writer_)
             writer_->append(batch_);

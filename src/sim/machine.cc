@@ -386,33 +386,12 @@ Machine::simulateBatchSpan(const trace::AccessBatch &b, uint32_t begin,
     // Coalescing applies when the fast path is on and the L1 prefetcher
     // reacts to a repeated hit with a bare observation count (the
     // streamer must run its full observe() per access). A dependent
-    // chain (machine knob or batch hint) never coalesces — each access
-    // is its own line by construction, so mining runs/windows is pure
-    // overhead — and takes the direct loop below with coalesce off.
+    // chain never coalesces — each access is its own line by
+    // construction, so mining runs is pure overhead — and takes the
+    // direct loop below with coalesce off.
     const bool coalesce = fastPath_ &&
                           (l1pfCheapRepeat_ || !prefetchEnabled_) &&
-                          !dependent_ && !b.dependent;
-    if (coalesce && simdClassify_) {
-        // Build the bit-packed run masks once: the miss-set prefetch
-        // pre-pass needs them to prime the host cache for every
-        // predicted miss in the span, which pays off in BOTH consume
-        // loops (the serial miss walk is host-memory-latency bound on
-        // the modeled L2/L3 metadata). Dependent-chain streams never
-        // get here — the engine's latency bypass routes them straight
-        // to the per-access path.
-        simd::buildRunMasks(b, begin, end, runMasks_);
-        prefetchMissSets(b, begin, end, core);
-        // The mask-driven loop amortizes its per-run mask arithmetic
-        // over run length, so it pays off exactly when the producer
-        // flagged a dense same-line stream; sparse-hint batches
-        // (interleaved multi-stream kernels like triad) consume faster
-        // through the scalar scan below. Both loops are bit-identical —
-        // this dispatch is purely a throughput choice.
-        if (b.sameLineHints * 2 >= b.n) {
-            simulateBatchSpanSimd(b, begin, end, core);
-            return;
-        }
-    }
+                          !dependent_;
     // Hoisted per-core state: the consume loop must not chase the
     // unique_ptr/vector indirections per record.
     CoreFast &fs = fast_[static_cast<size_t>(core)];
@@ -577,300 +556,6 @@ Machine::simulateBatchSpan(const trace::AccessBatch &b, uint32_t begin,
             telem_run_records, std::memory_order_relaxed);
     }
 #endif
-}
-
-void
-Machine::simulateBatchSpanSimd(const trace::AccessBatch &b,
-                               uint32_t begin, uint32_t end, int core)
-{
-    using trace::AccessBatch;
-    using trace::AccessKind;
-
-    // The caller (simulateBatchSpan) built the bit-packed
-    // classification planes for this span (see simd_classify.hh): ext
-    // marks records that may extend a same-line run — the exact byte
-    // predicate the scalar consume loop applies per record — mem marks
-    // demand Load/Stores and wr marks demand Stores. The loop below
-    // handles a run in O(1): extent by counting trailing ones of ext,
-    // read/write tallies by popcounts over mem/wr, and the rare
-    // interleaved Fp/Other records recovered from ext & ~mem. Runs,
-    // tallies and the order of every machine-visible effect are
-    // identical to the scalar loop by construction (the masks are
-    // definitions, not heuristics); the golden equivalence test
-    // enforces it across SIMD on/off.
-    const simd::RunMasks &rm = runMasks_;
-    const uint64_t *const ext = rm.ext.data();
-    const uint64_t *const mem = rm.mem.data();
-    const uint64_t *const wrp = rm.wr.data();
-
-    CoreFast &fs = fast_[static_cast<size_t>(core)];
-    CoreCounters &cc = cores_[static_cast<size_t>(core)];
-    Cache *const l1 = l1_[static_cast<size_t>(core)].get();
-    Tlb &tlb = tlbs_[static_cast<size_t>(core)];
-    Prefetcher *const l1pf = l1pf_[static_cast<size_t>(core)].get();
-    const Cache::RawView l1v = l1->rawView();
-    const uint32_t line_shift = lineShift_;
-
-    // Deferred pure-stat tallies, published once at span end. Both are
-    // additive counters nothing on the access path reads back (the TLB's
-    // replacement tick is separate from its access stat, and no
-    // prefetcher's issue decision consults its observed count), and
-    // every external observation point drains the batch first — so
-    // accumulating them in registers is invisible.
-    uint64_t tlb_streak_accesses = 0;
-    uint64_t pf_observed = 0;
-
-#ifdef RFL_TELEMETRY
-    const bool telem_on = telemetry::simTelemetryEnabled();
-    uint64_t telem_runs = 0;
-    uint64_t telem_run_records = 0;
-#endif
-
-    auto retire_fp = [&](uint8_t width_byte, uint64_t count) {
-        const auto w = static_cast<VecWidth>(
-            width_byte & trace::AccessBatch::fpWidthMask);
-        const bool fma =
-            (width_byte & trace::AccessBatch::fpFmaFlag) != 0;
-        if (vecLanes(w) > cfg_.core.maxVectorDoubles) {
-            panic("core %d retiring %s ops but machine supports width "
-                  "%d",
-                  core, vecWidthName(w), cfg_.core.maxVectorDoubles);
-        }
-        if (fma && !cfg_.core.hasFma)
-            panic("core %d retiring FMA on a machine without FMA", core);
-        cc.fpRetired[static_cast<size_t>(w)] += count * (fma ? 2 : 1);
-        cc.fpUops += count;
-    };
-
-    // First record at index >= from that cannot extend a run (mask bits
-    // beyond the span are zero, so the scan cannot overrun; the min()
-    // is belt and braces).
-    auto run_limit = [&](uint32_t from) -> uint32_t {
-        if (from >= end)
-            return end;
-        uint64_t inv = ~(ext[from >> 6] >> (from & 63u));
-        if (inv != 0) {
-            const uint32_t j =
-                from + static_cast<uint32_t>(std::countr_zero(inv));
-            return j < end ? j : end;
-        }
-        for (uint32_t pos = (from & ~63u) + 64; pos < end; pos += 64) {
-            inv = ~ext[pos >> 6];
-            if (inv != 0) {
-                const uint32_t j =
-                    pos + static_cast<uint32_t>(std::countr_zero(inv));
-                return j < end ? j : end;
-            }
-        }
-        return end;
-    };
-
-    // Popcount of mask bits in [from, to); requires to > from.
-    auto pop_range = [&](const uint64_t *m, uint32_t from,
-                         uint32_t to) -> uint64_t {
-        const uint32_t wf = from >> 6;
-        const uint32_t wt = (to - 1) >> 6;
-        const uint64_t head = m[wf] >> (from & 63u);
-        if (wf == wt) {
-            const uint32_t len = to - from;
-            return static_cast<uint64_t>(std::popcount(
-                len >= 64 ? head : head & ((1ull << len) - 1)));
-        }
-        uint64_t n = static_cast<uint64_t>(std::popcount(head));
-        for (uint32_t w = wf + 1; w < wt; ++w)
-            n += static_cast<uint64_t>(std::popcount(m[w]));
-        const uint32_t tail_bits = to & 63u;
-        const uint64_t tail =
-            tail_bits ? m[wt] & ((1ull << tail_bits) - 1) : m[wt];
-        return n + static_cast<uint64_t>(std::popcount(tail));
-    };
-
-    uint32_t i = begin;
-    while (i < end) {
-        const auto kind = static_cast<AccessKind>(b.kind[i] &
-                                                  trace::kindValueMask);
-        switch (kind) {
-          case AccessKind::Load:
-          case AccessKind::Store: {
-            const uint64_t addr = b.addr[i];
-            const uint32_t bytes = b.size[i];
-            RFL_ASSERT(bytes > 0);
-            const uint64_t line = addr >> line_shift;
-            const uint64_t last = (addr + bytes - 1) >> line_shift;
-            if (last == line) {
-                // Run base: verify the line is L1-resident and demand-
-                // touched. The resident-line filter proves it in one
-                // compare; otherwise probe the raw tag array (a
-                // prefetched line's first demand touch has effects a
-                // bulk touch must not skip).
-                size_t way = Cache::noWay;
-                const int slot = fs.find(line);
-                if (slot >= 0) {
-                    way = fs.wayIdx[static_cast<size_t>(slot)];
-                } else {
-                    const size_t probed = simd::probeWay(l1v, line);
-                    if (probed != Cache::noWay &&
-                        !(l1v.flags[probed] & Cache::flagPrefetched)) {
-                        fs.noteHit(line, probed);
-                        way = probed;
-                    }
-                }
-                if (way != Cache::noWay) {
-                    // Guaranteed-hit run [i, j): every follower is
-                    // same-line with the base (transitively through the
-                    // producer hint) or an inline-retiring Fp/Other.
-                    // The per-access sequence collapses into bulk
-                    // updates exactly as in the scalar loop; only the
-                    // tallying is mask arithmetic now.
-                    const uint32_t j = run_limit(i + 1);
-                    const uint64_t n_mem = pop_range(mem, i, j);
-                    const uint64_t n_wr = pop_range(wrp, i, j);
-                    if (n_mem != j - i) {
-                        // Interleaved Fp/Other records, retired in
-                        // record order (they commute with the memory
-                        // updates; order among themselves preserved).
-                        for (uint32_t w = (i + 1) >> 6;
-                             w <= (j - 1) >> 6; ++w) {
-                            uint64_t bits = ext[w] & ~mem[w];
-                            if (w == ((i + 1) >> 6))
-                                bits &= ~0ull << ((i + 1) & 63u);
-                            if (w == ((j - 1) >> 6) && (j & 63u))
-                                bits &= (1ull << (j & 63u)) - 1;
-                            while (bits) {
-                                const uint32_t r =
-                                    (w << 6) +
-                                    static_cast<uint32_t>(
-                                        std::countr_zero(bits));
-                                bits &= bits - 1;
-                                if (b.kind[r] ==
-                                    static_cast<uint8_t>(
-                                        AccessKind::Fp)) {
-                                    retire_fp(b.width[r], b.addr[r]);
-                                } else {
-                                    cc.otherUops += b.addr[r];
-                                }
-                            }
-                        }
-                    }
-                    // Translate the base exactly as the per-access fast
-                    // path would (page streak or full walk, updating
-                    // lastVpn); every same-line follower is then a
-                    // guaranteed streak whose access count defers.
-                    translatePage(core, fs, addr);
-                    tlb_streak_accesses += n_mem - 1;
-                    cc.loadUops += n_mem - n_wr;
-                    cc.storeUops += n_wr;
-                    l1->touchRepeatN(way, n_wr, n_mem - n_wr);
-                    pf_observed += n_mem;
-#ifdef RFL_TELEMETRY
-                    if (telem_on) {
-                        ++telem_runs;
-                        telem_run_records += j - i;
-                    }
-#endif
-                    i = j;
-                    continue;
-                }
-                // Single-line but not provably demand-resident: the
-                // per-access path's find() would fail identically, so
-                // go straight to the full (miss) path.
-                const bool write = kind == AccessKind::Store;
-                if (write)
-                    cc.storeUops += 1;
-                else
-                    cc.loadUops += 1;
-                accessLineFull(core, line, write);
-                ++i;
-                break;
-            }
-            // Line-crossing access: split and deliver per line.
-            const bool write = kind == AccessKind::Store;
-            if (write)
-                cc.storeUops += 1;
-            else
-                cc.loadUops += 1;
-            accessLine(core, line, write);
-            for (uint64_t l = line + 1; l <= last; ++l)
-                accessLine(core, l, write);
-            ++i;
-            break;
-          }
-          case AccessKind::StoreNT:
-            storeNT(core, b.addr[i], b.size[i]);
-            ++i;
-            break;
-          case AccessKind::Fp:
-            retire_fp(b.width[i], b.addr[i]);
-            ++i;
-            break;
-          case AccessKind::Other:
-            cc.otherUops += b.addr[i];
-            ++i;
-            break;
-        }
-    }
-
-    if (tlbEnabled_ && tlb_streak_accesses)
-        tlb.countStreakAccesses(tlb_streak_accesses);
-    if (prefetchEnabled_ && pf_observed)
-        l1pf->countObservedN(pf_observed);
-
-#ifdef RFL_TELEMETRY
-    if (telem_on) {
-        using telemetry::simCounters;
-        simCounters().simdSpans.fetch_add(1, std::memory_order_relaxed);
-        simCounters().simdRecords.fetch_add(end - begin,
-                                            std::memory_order_relaxed);
-        if (telem_runs) {
-            simCounters().simdRuns.fetch_add(telem_runs,
-                                             std::memory_order_relaxed);
-            simCounters().simdRunRecords.fetch_add(
-                telem_run_records, std::memory_order_relaxed);
-        }
-    }
-#endif
-}
-
-void
-Machine::prefetchMissSets(const trace::AccessBatch &b, uint32_t begin,
-                          uint32_t end, int core)
-{
-    const simd::RunMasks &rm = runMasks_;
-    const CoreFast &fs = fast_[static_cast<size_t>(core)];
-    const Cache::RawView l2v = l2_[static_cast<size_t>(core)]->rawView();
-    const Cache::RawView l3v =
-        l3_[static_cast<size_t>(socketOf(core))]->rawView();
-    // Small dedup ring: consecutive bases alternate between a handful
-    // of stream lines, so four entries collapse nearly all repeats.
-    uint64_t ring[4] = {~0ull, ~0ull, ~0ull, ~0ull};
-    uint32_t at = 0;
-    if (begin >= end)
-        return;
-    const uint32_t wlo = begin >> 6;
-    const uint32_t whi = (end + 63) >> 6;
-    for (uint32_t w = wlo; w < whi; ++w) {
-        // Run bases: demand records that do not extend a run.
-        uint64_t bits = rm.mem[w] & ~rm.ext[w];
-        while (bits) {
-            const uint32_t r =
-                (w << 6) + static_cast<uint32_t>(std::countr_zero(bits));
-            bits &= bits - 1;
-            const uint64_t line = b.addr[r] >> lineShift_;
-            if (line == ring[0] || line == ring[1] || line == ring[2] ||
-                line == ring[3])
-                continue;
-            ring[at & 3u] = line;
-            ++at;
-            // Lines in the resident-line filter hit L1 and never reach
-            // the L2/L3 metadata (start-of-span state; good enough for
-            // a prefetch hint).
-            if (line == fs.hitLine[0] || line == fs.hitLine[1] ||
-                line == fs.hitLine[2] || line == fs.hitLine[3])
-                continue;
-            simd::prefetchSet(l2v, line);
-            simd::prefetchSet(l3v, line);
-        }
-    }
 }
 
 void

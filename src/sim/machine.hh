@@ -30,7 +30,6 @@
 #include "sim/core.hh"
 #include "sim/imc.hh"
 #include "sim/prefetcher.hh"
-#include "sim/simd_classify.hh"
 #include "sim/tlb.hh"
 #include "trace/access_batch.hh"
 
@@ -159,21 +158,6 @@ class Machine
      */
     void setFastPath(bool enabled);
     bool fastPathEnabled() const { return fastPath_; }
-
-    /**
-     * Enable/disable the SIMD batch-classification pre-pass and the
-     * multi-line window coalescer it feeds (default: enabled). Like the
-     * fast path, a pure accelerator: every architectural observable is
-     * bit-identical either way (golden equivalence test). Only consulted
-     * by simulateBatch(); the per-access data path never classifies.
-     */
-    void
-    setSimdClassify(bool enabled)
-    {
-        drainBatchSources();
-        simdClassify_ = enabled;
-    }
-    bool simdClassifyEnabled() const { return simdClassify_; }
 
     /** @name Data path (byte addresses; split into lines internally). */
     ///@{
@@ -402,32 +386,6 @@ class Machine
                            uint32_t begin, uint32_t end, int core);
 
     /**
-     * Mask-fed variant of the span loop: builds the bit-packed run
-     * masks for [begin, end) with the SIMD classification pre-pass,
-     * then consumes same-line runs in O(1) each — extent via
-     * count-trailing-ones, read/write tallies via popcounts — falling
-     * back to the per-access reference dispatch for anything not
-     * provably resident. Only entered when coalescing is
-     * architecturally safe (fast path on, no streamer retraining on
-     * hits, not a dependent chain). See DESIGN.md §13.
-     */
-    void simulateBatchSpanSimd(const trace::AccessBatch &batch,
-                               uint32_t begin, uint32_t end, int core);
-
-    /**
-     * Host-cache priming pre-pass over a span's run masks (already
-     * built in runMasks_): for every run base whose line is
-     * neither a recent duplicate nor in the resident-line filter —
-     * i.e. every line about to take the miss machinery — prefetch the
-     * L2 and L3 way-state lines of its set. The serial miss walk is
-     * host-memory-latency bound on the modeled L2/L3 metadata; issuing
-     * the loads up front overlaps that latency across the span's
-     * misses. No simulated effect; see simd::prefetchSet().
-     */
-    void prefetchMissSets(const trace::AccessBatch &batch, uint32_t begin,
-                          uint32_t end, int core);
-
-    /**
      * observe() on @p pf with a direct (devirtualized) call: @p kind is
      * the configured flavor, the model classes are final, and observe
      * runs for every demand access a level sees.
@@ -604,11 +562,6 @@ class Machine
         PfList l2;
     };
     PfScratch scratch_;
-
-    /** Whether simulateBatch runs the classification pre-pass. */
-    bool simdClassify_ = true;
-    /** Classification planes of the span being consumed. */
-    simd::RunMasks runMasks_;
 
     /**
      * Attached batch sources, drained (in order) by every observation

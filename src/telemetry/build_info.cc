@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "sim/simd_classify.hh"
 #include "support/json.hh"
 
 #ifndef RFL_GIT_SHA
@@ -46,7 +45,6 @@ buildInfo()
         b.buildType = RFL_BUILD_TYPE;
         if (b.buildType.empty())
             b.buildType = "unset";
-        b.simdTier = sim::simd::activeIsa();
         return b;
     }();
     return info;

@@ -19,7 +19,8 @@
  * Every registered kernel is driven through SimEngine on the default
  * platform and compared field-by-field against the reference. Variants
  * cover the regimes the memos and the coalescer interact with: scalar
- * vs vector width, prefetchers on vs off, multi-core partitions,
+ * vs vector width, prefetchers on vs off, the L1 prefetcher flavor
+ * (None, NextLine, Stream), multi-core partitions,
  * non-temporal stores, dependent (pointer-chasing) accesses — and, for
  * the batched path, batch limits {1, 7, 256, capacity} so that flush
  * boundaries land mid-streak (a limit of 7 splits every prefetch streak
@@ -80,8 +81,8 @@ struct RunOpts
     int cores = 1;
     bool prefetch = true;
     bool flush = true; ///< end with flushAllCaches (writeback coverage)
-    /** SIMD classification pre-pass in simulateBatch (Batched mode). */
-    bool simd = true;
+    /** L1 prefetcher flavor (the default platform's is NextLine). */
+    PrefetcherKind l1Prefetcher = PrefetcherKind::NextLine;
     /** Records buffered per flush (Batched mode only). */
     uint32_t batchLimit = rfl::trace::AccessBatch::capacity;
 };
@@ -89,10 +90,11 @@ struct RunOpts
 Machine::Snapshot
 runKernel(const std::string &spec, PathMode mode, const RunOpts &opts)
 {
-    Machine machine(MachineConfig::defaultPlatform());
+    MachineConfig cfg = MachineConfig::defaultPlatform();
+    cfg.l1Prefetcher.kind = opts.l1Prefetcher;
+    Machine machine(cfg);
     machine.setFastPath(mode != PathMode::Reference);
     machine.setPrefetchEnabled(opts.prefetch);
-    machine.setSimdClassify(opts.simd);
 
     AddressArena::Scope scope;
     auto kernel = kernels::createKernel(spec);
@@ -366,15 +368,19 @@ TEST(BatchedEquivalence, WithoutTrailingFlush)
                        std::string(name) + " no-flush");
 }
 
-/** The SIMD classification pre-pass is a pure accelerator: with it
- *  disabled (scalar window building), every kernel still matches the
- *  reference bit-for-bit — including at adversarial flush boundaries. */
-TEST(BatchedEquivalence, EveryKernelSimdClassifyOff)
+/** The coalescing gate: with no L1 prefetcher a repeated hit is a bare
+ *  observation count and runs coalesce; an L1 streamer trains on hits,
+ *  so coalescing must stay off. Both must match the reference. */
+TEST(BatchedEquivalence, EveryKernelL1PrefetcherNoneAndStream)
 {
-    RunOpts opts;
-    opts.simd = false;
-    for (const auto &[name, spec] : smallSpecs())
-        compareBatched(spec, opts, name + " simd=off");
+    for (PrefetcherKind kind :
+         {PrefetcherKind::None, PrefetcherKind::Stream}) {
+        RunOpts opts;
+        opts.l1Prefetcher = kind;
+        for (const auto &[name, spec] : smallSpecs())
+            compareBatched(spec, opts,
+                           name + " l1pf=" + prefetcherKindName(kind));
+    }
 }
 
 /** A batch interleaving records of several cores, consumed without a

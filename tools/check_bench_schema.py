@@ -2,9 +2,9 @@
 """Validate the schema of rfl's machine-readable JSON artifacts.
 
 Four document kinds are recognized by content:
-  - BENCH_sim_throughput.json perf-trajectory files (schema v4,
-    bench == "sim_throughput": batched-mode entries and the
-    non-streaming batched-parity gate),
+  - BENCH_sim_throughput.json perf-trajectory files (schema v5,
+    bench == "sim_throughput": batched-mode entries, the trial count
+    and the non-streaming batched-parity gate),
   - BENCH_service_throughput.json service-load files (schema v1,
     bench == "service_throughput") produced by bench/service_throughput
     against the roofline-as-a-service daemon (src/service/),
@@ -64,16 +64,23 @@ def finite_number(obj: dict, key: str, ctx: str) -> float:
 def check_bench(doc: dict) -> None:
     if require(doc, "bench", str) != "sim_throughput":
         fail("bench name is not 'sim_throughput'")
-    if require(doc, "schema_version", int) != 4:
-        fail("unknown schema_version (expected 4: batched-mode entries, "
-             "no drain_scaling section)")
+    if require(doc, "schema_version", int) != 5:
+        fail("unknown schema_version (expected 5: speedups are medians "
+             "of per-round ratios over 'trials' interleaved rounds)")
     require(doc, "unit", str)
     rfl_fast = require(doc, "rfl_fast", bool)
+    # Speedups are medians of per-round ratios; the gate below is only
+    # decidable with enough rounds behind each median.
+    min_trials = 3 if rfl_fast else 9
+    trials = require(doc, "trials", int)
+    if trials < min_trials:
+        fail(f"trials is {trials}; need >= {min_trials} interleaved "
+             f"rounds for a stable median")
     # Non-streaming workloads must not regress under batching: the
     # latency fast path exists precisely so dependent-chain streams
-    # stop paying batching overhead. The committed (full-length,
-    # best-of-N) artifact is gated at parity; CI's RFL_FAST runs use
-    # 0.05 s windows where a few percent of scheduling noise on shared
+    # stop paying batching overhead. The committed (full-length)
+    # artifact is gated at parity; CI's RFL_FAST runs use 0.05 s
+    # windows where a few percent of scheduling noise on shared
     # runners is routine, so they get a documented tolerance instead of
     # a flaky gate.
     batched_floor = 0.90 if rfl_fast else 1.0
@@ -114,7 +121,7 @@ def check_bench(doc: dict) -> None:
             fail(f"required workload '{required}' missing")
 
     print(f"{sys.argv[1]}: schema OK "
-          f"({len(workloads)} workloads, "
+          f"({len(workloads)} workloads, {trials} rounds, "
           f"hot-loop speedup {doc['hot_loop_speedup']:.2f}x, "
           f"batched {doc['batched_hot_loop_speedup']:.2f}x)")
 
