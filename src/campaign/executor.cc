@@ -320,8 +320,8 @@ executeJob(const CampaignSpec &spec, const Job &job,
         break;
       }
       case JobKind::TraceReplay: {
-        // deps = {ceiling, record}; the record job ran first and left
-        // the trace file behind.
+        // deps = {ceiling, record}; only the record gates this job, and
+        // it ran first and left the trace file behind.
         RFL_ASSERT(job.deps.size() == 2);
         const TraceInfo &info = results[job.deps[1]].trace;
         std::optional<trace::TraceKernel> kernel;
@@ -561,10 +561,18 @@ CampaignExecutor::run(const CampaignSpec &spec,
     RunState state;
     state.remainingDeps.resize(run.jobs.size());
     state.dependents.resize(run.jobs.size());
+    // Only data deps gate execution: a trace replay reads its
+    // recording's file, a duplicate native job replays the first one's
+    // cache entry. A job's edge to its Ceiling job is a result link —
+    // no job reads the model while it runs; modelFor() and the analysis
+    // follow it after run() returns — so it does not hold the job back.
     for (const Job &job : run.jobs) {
-        state.remainingDeps[job.id] = job.deps.size();
-        for (size_t dep : job.deps)
+        for (size_t dep : job.deps) {
+            if (run.jobs[dep].kind == JobKind::Ceiling)
+                continue;
+            ++state.remainingDeps[job.id];
             state.dependents[dep].push_back(job.id);
+        }
     }
 
     ThreadPool pool(opts_.threads);
@@ -683,9 +691,17 @@ CampaignExecutor::run(const CampaignSpec &spec,
         pool.submit([&runJob, id] { runJob(id); });
     };
 
+    // Collect the initial ready set before submitting any of it: once
+    // the first job is on the pool, workers decrement remainingDeps
+    // concurrently, and a job whose count they drive to zero is
+    // submitted by them — reading the counters here too would submit
+    // it twice.
+    std::vector<size_t> initial;
     for (const Job &job : run.jobs)
-        if (job.deps.empty())
-            submitJob(job.id);
+        if (state.remainingDeps[job.id] == 0)
+            initial.push_back(job.id);
+    for (size_t id : initial)
+        submitJob(id);
     // Drain the pool, then run any parked native jobs one at a time on
     // this thread with the pool idle (the quiet-machine discipline the
     // hardware rows need). A native job can unblock more work — pool

@@ -8,8 +8,9 @@
  * and its timing model is independent of host wall time, which makes the
  * aggregated results identical for any thread count.
  *
- * Scheduling: jobs whose dependencies are satisfied are submitted to the
- * ThreadPool; completing a job decrements its dependents' counters and
+ * Scheduling: jobs whose data deps are satisfied are submitted to the
+ * ThreadPool (a job's link to its Ceiling job is not waited for; see
+ * job_graph.hh); completing a job decrements its dependents' counters and
  * submits the newly-ready ones. Before simulating, each job consults the
  * ResultCache; a hit skips simulation entirely.
  */

@@ -204,7 +204,7 @@ JobGraph::expand(const CampaignSpec &spec)
     }
     graph.ceilingJobs_ = graph.jobs_.size();
 
-    // Measure jobs: machines x kernels x variants, each depending on its
+    // Measure jobs: machines x kernels x variants, each linking its
     // scenario's ceiling job. Skipped when the spec selects hardware
     // rows only (backend = perf without sim).
     const size_t simKernels =
@@ -272,8 +272,8 @@ JobGraph::expand(const CampaignSpec &spec)
         }
     }
 
-    // Phase-sample jobs: machines x phases x variants, each depending
-    // on its scenario's ceiling job (like Measure jobs).
+    // Phase-sample jobs: machines x phases x variants, each linking its
+    // scenario's ceiling job (like Measure jobs).
     for (size_t mi = 0; mi < spec.machines().size(); ++mi) {
         for (size_t pi = 0; pi < spec.phases().size(); ++pi) {
             for (size_t vi = 0; vi < spec.variants().size(); ++vi) {

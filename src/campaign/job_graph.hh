@@ -2,7 +2,7 @@
  * @file
  * JobGraph: expansion of a CampaignSpec into schedulable jobs.
  *
- * Four job kinds:
+ * Six job kinds:
  *   - Ceiling: characterize the roofline ceilings of one machine under
  *     one scenario signature (core set, NUMA policy, prefetch enable).
  *     One per distinct signature per machine, however many variants
@@ -13,23 +13,28 @@
  *     trace) — the stream depends only on the kernel, the machine's
  *     vector width and the record seed, never on the variant.
  *   - TraceReplay: measure the recorded stream (as a TraceKernel) under
- *     one variant on one machine. Depends on its Ceiling job (first
- *     dep) and its TraceRecord job (second dep).
+ *     one variant on one machine. Links its Ceiling job (first dep)
+ *     and depends on its TraceRecord job (second dep).
  *   - PhaseSample: run one phase entry's kernel under one variant on
  *     one machine with the interval sampler enabled, producing a
- *     PhaseTrajectory (analysis/phase.hh). Depends on its Ceiling job
- *     like a Measure job.
+ *     PhaseTrajectory (analysis/phase.hh). Links its Ceiling job like
+ *     a Measure job.
  *   - NativeMeasure: run one kernel under one variant natively on the
  *     host CPU with perf_event counters (backend = perf in the spec).
- *     Depends on its Ceiling job so the hardware row can be plotted
+ *     Links its Ceiling job so the hardware row can be plotted
  *     against the scenario's simulated roofs. Cached under a
  *     host-identity key (cpu model + flags + RFL_PERF_EVENTS hash):
  *     hardware rows are not reproducible from MachineConfig alone.
  *
- * Every Measure job depends on its machine's Ceiling job for the
- * variant's signature, so a config is characterized exactly once and
- * always before its sweeps — the sink can then plot each measurement
- * against a model that is guaranteed to exist.
+ * Every non-ceiling job except TraceRecord lists its machine's Ceiling
+ * job for the variant's signature as its first dep, so a config is
+ * characterized exactly once however many variants share it. That
+ * first dep is a result link, not a scheduling edge: no job reads the
+ * model while it runs, so the executor starts each job without waiting
+ * for its ceiling, and the sinks and the analysis follow the link to
+ * plot each measurement against its model once the run has finished.
+ * The remaining deps are data deps the executor does wait for: a
+ * replay's recording, and a duplicate native job's first twin.
  *
  * Jobs are numbered in deterministic spec order (ceilings, then
  * machines x kernels x variants, then trace records, then trace
@@ -77,7 +82,10 @@ struct Job
     size_t kernelIndex = 0;
     /** Content-addressed cache key (see result_cache.hh). */
     std::string cacheKey;
-    /** Job ids that must complete before this one starts. */
+    /** Related job ids. deps.front() is the job's Ceiling job for
+     *  every kind but Ceiling and TraceRecord (which have none) — a
+     *  result link the executor does not wait for. Every later dep
+     *  must complete before this job starts (see file comment). */
     std::vector<size_t> deps;
 
     /** Human-readable description for logs and error messages. */

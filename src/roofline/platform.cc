@@ -171,19 +171,6 @@ PlatformProbe::bandwidthPeak(const std::vector<int> &cores, BwProbe probe,
     return r;
 }
 
-BandwidthResult
-PlatformProbe::bestBandwidth(const std::vector<int> &cores,
-                             size_t buf_doubles)
-{
-    BandwidthResult best;
-    for (BwProbe probe : allBwProbes()) {
-        const BandwidthResult r = bandwidthPeak(cores, probe, buf_doubles);
-        if (r.bytesPerSec > best.bytesPerSec)
-            best = r;
-    }
-    return best;
-}
-
 RooflineModel
 PlatformProbe::characterize(const std::vector<int> &cores)
 {
@@ -215,9 +202,19 @@ PlatformProbe::characterize(const std::vector<int> &cores)
         }
     }
 
-    const BandwidthResult read = bandwidthPeak(cores, BwProbe::Read);
+    // One pass over every flavor: Read comes first, so it is both the
+    // "read" ceiling and the initial best; a later flavor must beat it
+    // strictly to become the best-streaming ceiling.
+    BandwidthResult read;
+    BandwidthResult best;
+    for (BwProbe probe : allBwProbes()) {
+        const BandwidthResult r = bandwidthPeak(cores, probe);
+        if (probe == BwProbe::Read)
+            read = r;
+        if (r.bytesPerSec > best.bytesPerSec)
+            best = r;
+    }
     model.addBandwidthCeiling("read", read.bytesPerSec);
-    const BandwidthResult best = bestBandwidth(cores);
     if (best.probe != BwProbe::Read) {
         model.addBandwidthCeiling(std::string(bwProbeName(best.probe)),
                                   best.bytesPerSec);

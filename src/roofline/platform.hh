@@ -8,8 +8,8 @@
  *     loop (the paper's runtime-generated assembly benchmark) per
  *     scenario (width x FMA x core set).
  *   - Peak bandwidth is measured as the best of several streaming probes
- *     (read / copy / scale / triad / nt-set) over a buffer several times
- *     the LLC, with traffic read from the IMC counters, so the beta used
+ *     (read / copy / scale / triad / nt-set) over a buffer twice the
+ *     total LLC, with traffic read from the IMC counters, so the beta used
  *     for the roof is consistent with the Q used for kernel points.
  */
 
@@ -69,19 +69,16 @@ class PlatformProbe
 
     /**
      * Measured peak bandwidth for one probe flavor over @p buf_doubles
-     * doubles (0 = 4x the total LLC capacity). Cold caches.
+     * doubles (0 = 2x the total LLC capacity). Cold caches.
      */
     BandwidthResult bandwidthPeak(const std::vector<int> &cores,
                                   BwProbe probe, size_t buf_doubles = 0);
 
-    /** Best bandwidth across all probe flavors. */
-    BandwidthResult bestBandwidth(const std::vector<int> &cores,
-                                  size_t buf_doubles = 0);
-
     /**
-     * Standard ceiling set for a scenario: compute ceilings for scalar /
-     * half-width / full-width (x FMA when available), bandwidth ceilings
-     * for read and best-streaming.
+     * Standard ceiling set for a scenario: compute ceilings for scalar and
+     * full width (each x FMA when available), bandwidth ceilings
+     * for read and best-streaming (the fastest of allBwProbes(), earliest
+     * on a tie; omitted when that is read). Each probe flavor runs once.
      */
     RooflineModel characterize(const std::vector<int> &cores);
 

@@ -1,19 +1,23 @@
 /**
  * @file
- * Campaign executor acceptance tests (ISSUE 1 criteria): deterministic
- * results independent of host thread count, 100% cache hits on an
- * identical re-run, and ceiling jobs completing before their sweeps.
+ * Campaign executor acceptance tests: deterministic results independent
+ * of host thread count, 100% cache hits on an identical re-run, each
+ * job run exactly once, and ceiling jobs that link each variant to its
+ * model without holding back the variant's sweep.
  */
 
 #include <algorithm>
 #include <fstream>
+#include <numeric>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
 #include "campaign/executor.hh"
+#include "campaign/serialize.hh"
 #include "campaign/sink.hh"
 #include "support/cancel.hh"
+#include "support/failpoint.hh"
 
 namespace
 {
@@ -145,35 +149,116 @@ TEST(CampaignExecutor, ChangingTheSpecOnlyComputesTheDelta)
     std::remove(path.c_str());
 }
 
-TEST(CampaignExecutor, CeilingJobsCompleteBeforeTheirSweeps)
+TEST(CampaignExecutor, CeilingsLinkResultsWithoutGatingTheirSweeps)
 {
-    const CampaignSpec spec = smallCampaign();
+    // Every job kind that runs on the pool, and a data dep
+    // (record -> replay) beside the ceiling links.
+    CampaignSpec spec = smallCampaign();
+    spec.addTrace("daxpy:n=256");
+    spec.addPhase("sum:n=512", 256);
     ExecutorOptions opts;
     opts.threads = 4;
+    opts.traceDir = ::testing::TempDir() + "rfl_exec_links";
     const CampaignRun run = CampaignExecutor(opts).run(spec);
+    ASSERT_EQ(run.completionOrder.size(), run.jobs.size());
 
-    // completionOrder records the actual finish sequence; every measure
-    // job's ceiling dependency must appear earlier.
+    // completionOrder records the actual finish sequence; every data
+    // dep (a replay's recording) must appear before its dependent. The
+    // ceiling link is not a scheduling edge and is not checked here.
     std::vector<size_t> finishedAt(run.jobs.size());
     for (size_t pos = 0; pos < run.completionOrder.size(); ++pos)
         finishedAt[run.completionOrder[pos]] = pos;
-
+    size_t dataDeps = 0;
     for (const Job &job : run.jobs) {
         for (size_t dep : job.deps) {
+            if (run.jobs[dep].kind == JobKind::Ceiling)
+                continue;
+            ++dataDeps;
             EXPECT_LT(finishedAt[dep], finishedAt[job.id])
                 << job.describe(run.spec) << " finished before its "
                 << run.jobs[dep].describe(run.spec);
         }
     }
+    EXPECT_GT(dataDeps, 0u);
 
-    // Each ceiling produced a usable model with compute + bandwidth roofs.
-    for (const Job &job : run.jobs) {
-        if (job.kind != JobKind::Ceiling)
-            continue;
-        const rfl::roofline::RooflineModel &model =
-            run.results[job.id].model;
+    // Every variant's model is its own ceiling job's result, and each
+    // ceiling produced usable compute + bandwidth roofs.
+    for (size_t vi = 0; vi < spec.variants().size(); ++vi) {
+        const std::string key = ceilingCacheKey(
+            spec.machines()[0].config, spec.variants()[vi].opts);
+        const auto ceiling = std::find_if(
+            run.jobs.begin(), run.jobs.end(), [&](const Job &job) {
+                return job.kind == JobKind::Ceiling &&
+                       job.cacheKey == key;
+            });
+        ASSERT_NE(ceiling, run.jobs.end());
+        const rfl::roofline::RooflineModel &model = run.modelFor(0, vi);
+        EXPECT_EQ(&model, &run.results[ceiling->id].model);
         EXPECT_GT(model.peakCompute(), 0.0);
         EXPECT_GT(model.peakBandwidth(), 0.0);
+    }
+}
+
+TEST(CampaignExecutor, MeasureJobsDoNotWaitForTheirCeiling)
+{
+    // Deterministic, with no timing involved: the sweep's results are
+    // all cached and its ceiling is not, and the ceiling fails at its
+    // first stage. On one worker the pool runs jobs in submit order, so
+    // the ceiling fails first; every measure job must still run and
+    // finish (answered from the cache) although its ceiling never
+    // completes. Were the ceiling a scheduling edge, no measure job
+    // would ever start.
+    const CampaignSpec spec = smallCampaign();
+    const CampaignRun fresh = CampaignExecutor(ExecutorOptions{}).run(spec);
+    ResultCache cache;
+    size_t measures = 0;
+    for (const Job &job : fresh.jobs) {
+        if (job.kind != JobKind::Measure)
+            continue;
+        ++measures;
+        cache.store(job.cacheKey,
+                    encodeMeasurement(fresh.results[job.id].measurement));
+    }
+    ASSERT_GT(measures, 0u);
+
+    ASSERT_TRUE(rfl::failpoint::arm("job.machine-build", "throw"));
+    ExecutorOptions opts;
+    opts.threads = 1;
+    opts.cache = &cache;
+    EXPECT_THROW(CampaignExecutor(opts).run(spec),
+                 rfl::failpoint::FailpointError);
+    rfl::failpoint::disarmAll();
+
+    EXPECT_EQ(cache.stats().hits, measures);
+}
+
+TEST(CampaignExecutor, EveryJobRunsExactlyOnce)
+{
+    // A trace recording that finishes while the initial ready set is
+    // still being submitted unblocks its replay from a worker; the
+    // replay must still be submitted once. The window is a race, so the
+    // spec puts many recordings right before their replays in job
+    // order and the run repeats.
+    CampaignSpec spec("once");
+    spec.addMachine("small", MachineConfig::smallTestMachine());
+    for (int t = 0; t < 16; ++t)
+        spec.addTrace("sum:n=" + std::to_string(64 + 8 * t));
+    spec.addPhase("sum:n=512", 256);
+    rfl::roofline::MeasureOptions cold;
+    cold.repetitions = 1;
+    spec.addVariant("cold-1c", cold);
+
+    ExecutorOptions opts;
+    opts.threads = 4;
+    opts.traceDir = ::testing::TempDir() + "rfl_exec_once";
+    for (int rep = 0; rep < 50; ++rep) {
+        const CampaignRun run = CampaignExecutor(opts).run(spec);
+        std::vector<size_t> order = run.completionOrder;
+        std::sort(order.begin(), order.end());
+        std::vector<size_t> ids(run.jobs.size());
+        std::iota(ids.begin(), ids.end(), size_t{0});
+        ASSERT_EQ(order, ids) << "run " << rep;
+        ASSERT_EQ(run.simulated, run.jobs.size()) << "run " << rep;
     }
 }
 

@@ -92,6 +92,37 @@ TEST_F(PlatformTest, CharacterizeProducesOrderedCeilings)
     EXPECT_LT(model.ridgePoint(), 20.0);
 }
 
+TEST(PlatformProbeTest, CharacterizeBandwidthCeilingsMatchStandaloneProbes)
+{
+    // characterize() runs each flavor once; its ceilings must equal
+    // what standalone probes of every flavor measure: "read" is the
+    // Read probe, and the best-streaming ceiling (absent when Read
+    // itself is fastest) is the maximum over all of them.
+    sim::Machine machine(sim::MachineConfig::smallTestMachine());
+    PlatformProbe probe(machine);
+    const RooflineModel model = probe.characterize({0});
+
+    double read = 0.0;
+    BandwidthResult best;
+    for (BwProbe flavor : allBwProbes()) {
+        const BandwidthResult r = probe.bandwidthPeak({0}, flavor);
+        if (flavor == BwProbe::Read)
+            read = r.bytesPerSec;
+        if (r.bytesPerSec > best.bytesPerSec)
+            best = r;
+    }
+    ASSERT_GT(read, 0.0);
+    EXPECT_EQ(model.bandwidthCeiling("read"), read);
+    EXPECT_EQ(model.peakBandwidth(), best.bytesPerSec);
+    if (best.probe == BwProbe::Read) {
+        EXPECT_EQ(model.bandwidthCeilings().size(), 1u);
+    } else {
+        ASSERT_EQ(model.bandwidthCeilings().size(), 2u);
+        EXPECT_EQ(model.bandwidthCeiling(bwProbeName(best.probe)),
+                  best.bytesPerSec);
+    }
+}
+
 TEST(PlatformScenarios, CoreSetHelpers)
 {
     sim::Machine machine(sim::MachineConfig::defaultPlatform());
