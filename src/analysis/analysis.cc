@@ -7,6 +7,7 @@
 
 #include "campaign/serialize.hh"
 #include "support/csv.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 #include "support/units.hh"
 
@@ -16,35 +17,20 @@ namespace rfl::analysis
 namespace
 {
 
-using campaign::Json;
-
 /** Strict-JSON number: non-finite values are emitted as null. */
 Json
-jsonNumber(double v)
+finiteOrNull(double v)
 {
     return std::isfinite(v) ? Json::makeNumber(v) : Json();
 }
 
-/** Inverse of jsonNumber: null decodes to +inf (only I can be inf). */
+/** Inverse of finiteOrNull: null decodes to +inf (only I can be inf). */
 double
 numberField(const Json &j)
 {
     if (j.kind() == Json::Kind::Null)
         return std::numeric_limits<double>::infinity();
     return j.asNumber();
-}
-
-Json
-ceilingsToJson(const std::vector<roofline::Ceiling> &ceilings)
-{
-    Json arr = Json::makeArray();
-    for (const roofline::Ceiling &c : ceilings) {
-        Json obj = Json::makeObject();
-        obj.set("name", Json::makeString(c.name));
-        obj.set("value", Json::makeNumber(c.value));
-        arr.push(std::move(obj));
-    }
-    return arr;
 }
 
 Json
@@ -57,9 +43,9 @@ scenarioToJson(const Scenario &s)
     j.set("peak_bandwidth", Json::makeNumber(s.model.peakBandwidth()));
     j.set("ridge", Json::makeNumber(s.model.ridgePoint()));
     j.set("compute_ceilings",
-          ceilingsToJson(s.model.computeCeilings()));
+          campaign::ceilingsToJson(s.model.computeCeilings()));
     j.set("bandwidth_ceilings",
-          ceilingsToJson(s.model.bandwidthCeilings()));
+          campaign::ceilingsToJson(s.model.bandwidthCeilings()));
     return j;
 }
 
@@ -95,7 +81,7 @@ kernelRowToJson(const KernelRow &r)
     j.set("backend", Json::makeString(r.backend));
     j.set("quality", Json::makeNumber(r.quality));
     j.set("available", Json::makeBool(r.available));
-    j.set("oi", jsonNumber(r.metrics.oi));
+    j.set("oi", finiteOrNull(r.metrics.oi));
     j.set("perf", Json::makeNumber(r.metrics.perf));
     j.set("attainable", Json::makeNumber(r.metrics.attainable));
     j.set("pct_roof", Json::makeNumber(r.metrics.pctRoof));
@@ -164,7 +150,7 @@ phaseRowToJson(const PhaseRow &r)
     Json points = Json::makeArray();
     for (const PhasePoint &p : t.points) {
         Json pj = Json::makeObject();
-        pj.set("oi", jsonNumber(p.oi));
+        pj.set("oi", finiteOrNull(p.oi));
         pj.set("perf", Json::makeNumber(p.perf));
         pj.set("flops", Json::makeNumber(p.flops));
         pj.set("traffic_bytes", Json::makeNumber(p.trafficBytes));

@@ -24,13 +24,6 @@
 namespace rfl::analysis
 {
 
-/**
- * Escape text for XML/HTML element content and double-quoted
- * attributes (&, <, >, "). Shared by the SVG and HTML emitters so the
- * escaping rules cannot diverge.
- */
-std::string escapeXml(const std::string &text);
-
 /** One phase trajectory to overlay as a connected point path. */
 struct PhasePath
 {

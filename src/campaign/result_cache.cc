@@ -6,8 +6,8 @@
 #include <filesystem>
 #include <fstream>
 
-#include "campaign/serialize.hh"
 #include "support/failpoint.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 #include "support/retry.hh"
 #include "telemetry/metrics.hh"
@@ -80,7 +80,9 @@ ResultCache::ResultCache(const std::string &spillPath)
         if (RFL_FAILPOINT("cache.spill.read") ||
             !Json::tryParse(line, &entry) ||
             entry.kind() != Json::Kind::Object ||
-            !entry.has("key") || !entry.has("payload")) {
+            !entry.has("key") || !entry.has("payload") ||
+            entry.at("key").kind() != Json::Kind::String ||
+            entry.at("payload").kind() != Json::Kind::Object) {
             warn("result cache %s:%d: quarantining unparsable entry",
                  spillPath_.c_str(), lineno);
             std::ofstream q(spillPath_ + ".quarantine",

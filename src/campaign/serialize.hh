@@ -1,102 +1,46 @@
 /**
  * @file
- * JSON (de)serialization of campaign results for the JSONL spill store.
+ * Payload encoders and decoders for the result cache's JSONL spill.
  *
- * A deliberately small JSON subset — objects, arrays, strings, numbers,
- * booleans, null — enough to persist Measurements and RooflineModels as
- * one-line payloads. Numbers round-trip bit-exactly ("%.17g"); NaN and
- * infinity are emitted as bare nan/inf tokens (accepted back by the
- * parser), since cached measurements may carry NaN analytic traffic.
+ * Each campaign result kind (measurement, roofline model, trace
+ * recording, phase trajectory) becomes one compact JSON object built
+ * with the shared codec in support/json.hh. Numbers keep every bit
+ * ("%.17g", NaN and infinity as the codec's nan/inf tokens), so a
+ * cached result decodes to exactly what the simulator produced. Keys
+ * added later are appended after the older ones and decode with
+ * defaults when absent, so older spill files stay readable.
  */
 
 #ifndef RFL_CAMPAIGN_SERIALIZE_HH
 #define RFL_CAMPAIGN_SERIALIZE_HH
 
-#include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "analysis/phase.hh"
 #include "roofline/measurement.hh"
 #include "roofline/model.hh"
+#include "support/json.hh"
 #include "trace/trace_file.hh"
 
 namespace rfl::campaign
 {
 
-/** Minimal JSON value (see file comment). */
-class Json
-{
-  public:
-    enum class Kind
-    {
-        Null,
-        Bool,
-        Number,
-        String,
-        Array,
-        Object,
-    };
-
-    Json() = default;
-
-    static Json makeBool(bool v);
-    static Json makeNumber(double v);
-    static Json makeString(std::string v);
-    static Json makeArray();
-    static Json makeObject();
-
-    Kind kind() const { return kind_; }
-
-    /** @name Typed accessors; panic on kind mismatch. */
-    ///@{
-    bool asBool() const;
-    double asNumber() const;
-    const std::string &asString() const;
-    const std::vector<Json> &asArray() const;
-    ///@}
-
-    /** Append to an array value. */
-    void push(Json v);
-
-    /** Set an object member. */
-    void set(const std::string &key, Json v);
-
-    /** @return object member; fatal() when absent (corrupt cache line). */
-    const Json &at(const std::string &key) const;
-
-    /** @return true when the object has member @p key. */
-    bool has(const std::string &key) const;
-
-    /** Render compactly (stable member order: insertion order). */
-    std::string dump() const;
-
-    /** Parse one JSON document; fatal() on malformed input. */
-    static Json parse(const std::string &text);
-
-    /**
-     * Non-fatal parse: @return whether @p text parsed, filling @p out.
-     * Used by the cache loader to skip corrupt spill lines (e.g. an
-     * append truncated by a crash) instead of refusing to start.
-     */
-    static bool tryParse(const std::string &text, Json *out);
-
-  private:
-    Kind kind_ = Kind::Null;
-    bool bool_ = false;
-    double num_ = 0.0;
-    std::string str_;
-    std::vector<Json> arr_;
-    /** Insertion-ordered members (keys + parallel values). */
-    std::vector<std::pair<std::string, Json>> obj_;
-};
+/**
+ * The codec lives in support/ so telemetry/ can use it too; this alias
+ * keeps the `campaign::Json` spelling that perfbench/ sources use.
+ */
+using Json = rfl::Json;
 
 /** Encode a measurement as a one-line JSON object. */
 std::string encodeMeasurement(const roofline::Measurement &m);
 
 /** Decode a measurement; fatal() on malformed payload. */
 roofline::Measurement decodeMeasurement(const std::string &payload);
+
+/** Ceilings as [{"name":..,"value":..},...]: model payloads and
+ *  analysis.json share this shape. */
+Json ceilingsToJson(const std::vector<roofline::Ceiling> &ceilings);
 
 /** Encode a roofline model (its named ceilings) as one-line JSON. */
 std::string encodeModel(const roofline::RooflineModel &model);

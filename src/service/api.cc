@@ -4,9 +4,9 @@
 #include <cstdlib>
 #include <thread>
 
-#include "campaign/serialize.hh"
 #include "pmu/perf_backend.hh"
 #include "support/failpoint.hh"
+#include "support/json.hh"
 #include "support/logging.hh"
 #include "telemetry/build_info.hh"
 #include "telemetry/metrics.hh"
@@ -17,8 +17,6 @@ namespace rfl::service
 
 namespace
 {
-
-using campaign::Json;
 
 HttpResponse
 jsonResponse(int status, const Json &doc)

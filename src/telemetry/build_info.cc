@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "support/json.hh"
-
 #ifndef RFL_GIT_SHA
 #define RFL_GIT_SHA "unknown"
 #endif
@@ -62,16 +60,6 @@ registerBuildInfoMetric(Registry &registry)
                 {"build_type", b.buildType},
                 {"simd", b.simdTier}})
         .set(1.0);
-}
-
-std::string
-buildInfoJsonFields()
-{
-    const BuildInfo &b = buildInfo();
-    return "\"git_sha\":\"" + jsonEscape(b.gitSha) +
-           "\",\"compiler\":\"" + jsonEscape(b.compiler) +
-           "\",\"build_type\":\"" + jsonEscape(b.buildType) +
-           "\",\"simd\":\"" + jsonEscape(b.simdTier) + "\"";
 }
 
 } // namespace rfl::telemetry

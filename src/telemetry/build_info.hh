@@ -39,13 +39,6 @@ const BuildInfo &buildInfo();
 /** Register rfl_build_info{git_sha=,compiler=,build_type=,simd=} = 1. */
 void registerBuildInfoMetric(Registry &registry);
 
-/**
- * The same fields as a JSON object fragment without braces —
- * `"git_sha":"...","compiler":"...",...` — for splicing into
- * /healthz.
- */
-std::string buildInfoJsonFields();
-
 } // namespace rfl::telemetry
 
 #endif // RFL_TELEMETRY_BUILD_INFO_HH

@@ -15,17 +15,6 @@ namespace rfl::telemetry
 namespace
 {
 
-/** %.17g like the campaign JSON encoder: shortest round-trippable. */
-std::string
-formatNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "null"; // strict JSON; callers avoid non-finite values
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
 /** Prometheus label-value escaping: backslash, quote, newline. */
 std::string
 escapeLabelValue(const std::string &s)
@@ -421,15 +410,15 @@ Registry::renderJsonGrouped()
             out << e.counter->value();
             break;
           case Kind::Gauge:
-            out << formatNumber(e.gauge->value());
+            out << jsonNumber(e.gauge->value());
             break;
           case Kind::Histogram: {
             const Histogram &h = *e.histogram;
             out << "{\"count\":" << h.count()
-                << ",\"sum\":" << formatNumber(h.sum())
-                << ",\"p50\":" << formatNumber(h.quantile(0.5))
-                << ",\"p90\":" << formatNumber(h.quantile(0.9))
-                << ",\"p99\":" << formatNumber(h.quantile(0.99))
+                << ",\"sum\":" << jsonNumber(h.sum())
+                << ",\"p50\":" << jsonNumber(h.quantile(0.5))
+                << ",\"p90\":" << jsonNumber(h.quantile(0.9))
+                << ",\"p99\":" << jsonNumber(h.quantile(0.99))
                 << "}";
             break;
           }

@@ -1,7 +1,6 @@
 #include "telemetry/resource.hh"
 
 #include <algorithm>
-#include <cstdio>
 #include <cstring>
 #include <sys/resource.h>
 
@@ -53,23 +52,6 @@ ResourceDelta::add(const ResourceDelta &other)
     maxrssBytes = std::max(maxrssBytes, other.maxrssBytes);
     minorFaults += other.minorFaults;
     majorFaults += other.majorFaults;
-}
-
-std::string
-ResourceDelta::json() const
-{
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "{\"cpu_user_seconds\":%.6f,"
-                  "\"cpu_system_seconds\":%.6f,"
-                  "\"maxrss_bytes\":%llu,"
-                  "\"minor_faults\":%llu,"
-                  "\"major_faults\":%llu}",
-                  cpuUserSeconds, cpuSystemSeconds,
-                  static_cast<unsigned long long>(maxrssBytes),
-                  static_cast<unsigned long long>(minorFaults),
-                  static_cast<unsigned long long>(majorFaults));
-    return buf;
 }
 
 ResourceDelta

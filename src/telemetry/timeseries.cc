@@ -14,35 +14,6 @@ namespace rfl::telemetry
 namespace
 {
 
-/** Strict-JSON number: non-finite encodes as null. */
-std::string
-jsonNumber(double v)
-{
-    if (!std::isfinite(v))
-        return "null";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.9g", v);
-    return buf;
-}
-
-/** XML/HTML content + attribute escaping (same rules as analysis/svg). */
-std::string
-escapeXml(const std::string &text)
-{
-    std::string out;
-    out.reserve(text.size());
-    for (char c : text) {
-        switch (c) {
-          case '&': out += "&amp;"; break;
-          case '<': out += "&lt;"; break;
-          case '>': out += "&gt;"; break;
-          case '"': out += "&quot;"; break;
-          default: out += c;
-        }
-    }
-    return out;
-}
-
 /** {a="x",b="y"} (empty for no labels) — same shape as the registry. */
 std::string
 labelSuffix(const Labels &labels)

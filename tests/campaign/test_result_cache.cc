@@ -134,10 +134,13 @@ TEST(ResultCache, CorruptSpillLinesAreQuarantinedNotFatal)
         std::ofstream out(path, std::ios::app);
         out << "GARBAGE NOT JSON\n";
         out << "{\"key\":\"trunc\",\"payload\":{\"v\":\n";
+        // Well-formed JSON of the wrong shape.
+        out << "{\"key\":1,\"payload\":{}}\n";
+        out << "{\"key\":\"scalar\",\"payload\":7}\n";
     }
     ResultCache cache(path); // must not exit
     EXPECT_EQ(cache.stats().preloaded, 1u);
-    EXPECT_EQ(cache.stats().quarantined, 2u);
+    EXPECT_EQ(cache.stats().quarantined, 4u);
     std::string got;
     EXPECT_TRUE(cache.lookup("good", &got));
     EXPECT_FALSE(cache.lookup("trunc", &got));
@@ -151,8 +154,9 @@ TEST(ResultCache, CorruptSpillLinesAreQuarantinedNotFatal)
     while (std::getline(q, line))
         if (!line.empty())
             lines.push_back(line);
-    ASSERT_EQ(lines.size(), 2u);
+    ASSERT_EQ(lines.size(), 4u);
     EXPECT_EQ(lines[0], "GARBAGE NOT JSON");
+    EXPECT_EQ(lines[2], "{\"key\":1,\"payload\":{}}");
 
     std::remove(path.c_str());
     std::remove((path + ".quarantine").c_str());

@@ -17,12 +17,12 @@
 
 #include "analysis/analysis.hh"
 #include "campaign/executor.hh"
-#include "campaign/serialize.hh"
 #include "service/api.hh"
 #include "service/http_client.hh"
 #include "service/http_server.hh"
 #include "service/job_queue.hh"
 #include "service/session.hh"
+#include "support/json.hh"
 
 namespace
 {
@@ -164,8 +164,8 @@ TEST_F(HttpServiceTest, JsonEnvelopeSubmissionWorks)
     ClientResponse resp;
 
     // {"spec": "..."} with escaped newlines.
-    campaign::Json envelope = campaign::Json::makeObject();
-    envelope.set("spec", campaign::Json::makeString(
+    Json envelope = Json::makeObject();
+    envelope.set("spec", Json::makeString(
                              "name = http-envelope\n"
                              "machine = small\n"
                              "kernel = daxpy:n=4096\n"
@@ -179,6 +179,39 @@ TEST_F(HttpServiceTest, JsonEnvelopeSubmissionWorks)
                                "{\"nospec\":1}",
                                "application/json"));
     EXPECT_EQ(resp.status, 400);
+}
+
+TEST_F(HttpServiceTest, StandardClientEnvelopeEscapesAreDecoded)
+{
+    HttpClient client("127.0.0.1", server_->port());
+    ClientResponse resp;
+
+    // Python's json.dumps output for a spec with "café" and an emoji
+    // (\u escapes, a surrogate pair, ": " separator), plus the \/
+    // escape other encoders write.
+    const std::string body =
+        "{\"spec\": \"# caf\\u00e9 \\/ \\ud83d\\ude42\\n"
+        "name = http-unicode\\nmachine = small\\n"
+        "kernel = daxpy:n=4096\\n"
+        "variant = cold-1c: protocol=cold cores=0 reps=1\\n\"}";
+    ASSERT_TRUE(client.request("POST", "/v1/campaigns", &resp, body,
+                               "application/json"));
+    EXPECT_EQ(resp.status, 202) << resp.body;
+}
+
+TEST_F(HttpServiceTest, OverDeepEnvelopeIsRejectedAndServerSurvives)
+{
+    HttpClient client("127.0.0.1", server_->port());
+    ClientResponse resp;
+
+    // Unbounded recursion overflowed the stack near 35 000 levels.
+    const std::string body = "{\"spec\":" + std::string(50000, '[');
+    ASSERT_TRUE(client.request("POST", "/v1/campaigns", &resp, body,
+                               "application/json"));
+    EXPECT_EQ(resp.status, 400) << resp.body;
+
+    ASSERT_TRUE(client.request("GET", "/healthz", &resp));
+    EXPECT_EQ(resp.status, 200);
 }
 
 TEST_F(HttpServiceTest, ArtifactEndpointsByteMatchOfflineCli)
