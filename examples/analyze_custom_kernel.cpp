@@ -28,7 +28,8 @@ using namespace rfl;
 class ComplexMagnitude : public kernels::Kernel
 {
   public:
-    explicit ComplexMagnitude(size_t n) : n_(n), z_(2 * n), out_(n) {}
+    /** Records n only; operands are allocated by the first init(). */
+    explicit ComplexMagnitude(size_t n) : n_(n) {}
 
     std::string name() const override { return "cmagnitude"; }
     std::string
@@ -56,6 +57,10 @@ class ComplexMagnitude : public kernels::Kernel
     void
     init(uint64_t seed) override
     {
+        if (z_.empty()) {
+            z_.reset(2 * n_);
+            out_.reset(n_);
+        }
         Rng rng(seed);
         for (size_t i = 0; i < 2 * n_; ++i)
             z_[i] = rng.nextDouble(-2.0, 2.0);

@@ -32,12 +32,16 @@
  *
  *   roofline_report --file both_backends.txt --hw-gate
  *
+ * An analysis.json that parses but does not have the schema's shape
+ * (a member missing or of another type) exits 2 with a message.
+ *
  * Thresholds are relative fractions: --threshold-perf 0.05 gates a
  * >5% performance drop; --threshold-oi, --threshold-traffic,
  * --threshold-seconds and --threshold-ceiling work the same way in
  * each metric's worse direction (see analysis/diff.hh).
  */
 
+#include <cstdlib>
 #include <iostream>
 
 #include "analysis/diff.hh"
@@ -45,6 +49,7 @@
 #include "campaign/sink.hh"
 #include "support/cli.hh"
 #include "support/csv.hh"
+#include "support/json.hh"
 
 namespace
 {
@@ -82,6 +87,19 @@ thresholdsFromCli(const rfl::Cli &cli)
     thr.ceilingDrop =
         cli.getDouble("threshold-ceiling", thr.ceilingDrop);
     return thr;
+}
+
+/** Load an analysis.json; exit 2 when it has the wrong shape. */
+rfl::analysis::CampaignAnalysis
+loadAnalysis(const std::string &path)
+{
+    try {
+        return rfl::analysis::loadAnalysisFile(path);
+    } catch (const rfl::JsonError &e) {
+        std::cerr << "roofline_report: " << path << ": " << e.what()
+                  << "\n";
+        std::exit(2);
+    }
 }
 
 /** @return process exit code: 0 clean, 1 when the gate fails. */
@@ -154,9 +172,8 @@ main(int argc, char **argv)
                   "--diff <baseline.json> <current.json>");
         }
         const analysis::CampaignAnalysis baseline =
-            analysis::loadAnalysisFile(files[0]);
-        const analysis::CampaignAnalysis current =
-            analysis::loadAnalysisFile(files[1]);
+            loadAnalysis(files[0]);
+        const analysis::CampaignAnalysis current = loadAnalysis(files[1]);
         return runDiff(baseline, current, thr, cli.has("verbose"));
     }
 
@@ -208,7 +225,7 @@ main(int argc, char **argv)
 
     if (cli.has("baseline")) {
         const analysis::CampaignAnalysis baseline =
-            analysis::loadAnalysisFile(cli.get("baseline"));
+            loadAnalysis(cli.get("baseline"));
         return runDiff(baseline, doc, thr, cli.has("verbose"));
     }
     return 0;

@@ -227,23 +227,29 @@ executeJob(const CampaignSpec &spec, const Job &job,
         if (cache && cache->lookup(job.cacheKey, &payload)) {
             result.fromCache = true;
             bool valid = true;
-            switch (job.kind) {
-              case JobKind::Ceiling:
-                result.model = decodeModel(payload);
-                break;
-              case JobKind::TraceRecord:
-                // A cached recording is only as good as the file it
-                // points at: someone may have pruned the trace
-                // directory.
-                result.trace = decodeTraceInfo(payload);
-                valid = traceFileValid(result.trace);
-                break;
-              case JobKind::PhaseSample:
-                result.phases = decodePhaseTrajectory(payload);
-                break;
-              default:
-                result.measurement = decodeMeasurement(payload);
-                break;
+            try {
+                switch (job.kind) {
+                  case JobKind::Ceiling:
+                    result.model = decodeModel(payload);
+                    break;
+                  case JobKind::TraceRecord:
+                    // A cached recording is only as good as the file it
+                    // points at: someone may have pruned the trace
+                    // directory.
+                    result.trace = decodeTraceInfo(payload);
+                    valid = traceFileValid(result.trace);
+                    break;
+                  case JobKind::PhaseSample:
+                    result.phases = decodePhaseTrajectory(payload);
+                    break;
+                  default:
+                    result.measurement = decodeMeasurement(payload);
+                    break;
+                }
+            } catch (const JsonError &) {
+                // A payload of another shape (corrupt, or written by
+                // another schema) is recomputed like a stale trace.
+                valid = false;
             }
             if (valid) {
                 probe.attr("outcome", "hit");

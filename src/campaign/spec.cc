@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include <unistd.h>
+
 #include "kernels/registry.hh"
 #include "sim/config_io.hh"
 #include "support/hash.hh"
@@ -254,11 +256,29 @@ CampaignSpec::validate() const
                 fatal("campaign '%s': duplicate variant label '%s'",
                       name_.c_str(), variants_[i].label.c_str());
 
+    // Every kernel a job would build must fit in memory beside the
+    // others. Checked after each addition, so the sum cannot wrap: the
+    // registry's bounds keep one kernel's footprint at most 2^63.
+    const size_t memory = static_cast<size_t>(sysconf(_SC_PHYS_PAGES)) *
+                          static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    size_t footprint = 0;
+    auto account = [&](const std::string &spec, const kernels::Kernel &k) {
+        footprint += k.workingSetBytes();
+        if (footprint > memory)
+            fatal("campaign '%s': kernels up to '%s' need %zu bytes of "
+                  "operands, more than this host's %zu bytes of physical "
+                  "memory",
+                  name_.c_str(), spec.c_str(), footprint, memory);
+    };
+
     // Kernel specs must parse (catches typos before hours of compute),
-    // and multi-core variants need parallelizable kernels.
+    // and multi-core variants need parallelizable kernels. A trace
+    // replay allocates no operands.
     for (const std::string &spec : kernels_) {
         const std::unique_ptr<kernels::Kernel> kernel =
             kernels::createKernel(spec);
+        if (spec.rfind("trace:", 0) != 0)
+            account(spec, *kernel);
         for (const Variant &v : variants_)
             if (v.opts.measure.cores.size() > 1 &&
                 !kernel->parallelizable())
@@ -276,7 +296,7 @@ CampaignSpec::validate() const
             fatal("campaign '%s': cannot record a trace of a trace "
                   "replay ('%s')",
                   name_.c_str(), spec.c_str());
-        kernels::createKernel(spec);
+        account(spec, *kernels::createKernel(spec));
     }
 
     // Phase-sampled kernels run like measured kernels (partitioned
@@ -288,6 +308,7 @@ CampaignSpec::validate() const
                   name_.c_str(), p.spec.c_str());
         const std::unique_ptr<kernels::Kernel> kernel =
             kernels::createKernel(p.spec);
+        account(p.spec, *kernel);
         for (const Variant &v : variants_)
             if (v.opts.measure.cores.size() > 1 &&
                 !kernel->parallelizable())

@@ -159,8 +159,11 @@ class CampaignSpec
 
     /**
      * Check the spec is runnable: at least one machine, kernel and
-     * variant; distinct labels; every variant's core set valid on every
-     * machine. fatal() on violation (user error).
+     * variant; distinct labels; every kernel spec valid (building a
+     * kernel allocates nothing, see kernels/registry.hh); the kernels'
+     * summed operand footprint within the host's physical memory;
+     * every variant's core set valid on every machine. fatal() on
+     * violation (user error).
      */
     void validate() const;
 

@@ -1,14 +1,7 @@
 #include "kernels/daxpy.hh"
 
-#include "support/logging.hh"
-
 namespace rfl::kernels
 {
-
-Daxpy::Daxpy(size_t n) : n_(n), x_(n), y_(n)
-{
-    RFL_ASSERT(n > 0);
-}
 
 std::string
 Daxpy::sizeLabel() const
@@ -19,24 +12,16 @@ Daxpy::sizeLabel() const
 void
 Daxpy::init(uint64_t seed)
 {
+    if (x_.empty()) {
+        x_.reset(n_);
+        y_.reset(n_);
+    }
     Rng rng(seed);
     a_ = rng.nextDouble(0.5, 2.0);
     for (size_t i = 0; i < n_; ++i) {
         x_[i] = rng.nextDouble(-1.0, 1.0);
         y_[i] = rng.nextDouble(-1.0, 1.0);
     }
-}
-
-void
-Daxpy::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-Daxpy::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
 }
 
 double

@@ -3,15 +3,8 @@
 #include <cmath>
 #include <limits>
 
-#include "support/logging.hh"
-
 namespace rfl::kernels
 {
-
-DgemmBase::DgemmBase(size_t n) : n_(n), a_(n * n), b_(n * n), c_(n * n)
-{
-    RFL_ASSERT(n > 0);
-}
 
 std::string
 DgemmBase::sizeLabel() const
@@ -22,6 +15,11 @@ DgemmBase::sizeLabel() const
 void
 DgemmBase::init(uint64_t seed)
 {
+    if (a_.empty()) {
+        a_.reset(n_ * n_);
+        b_.reset(n_ * n_);
+        c_.reset(n_ * n_);
+    }
     Rng rng(seed);
     for (size_t i = 0; i < n_ * n_; ++i) {
         a_[i] = rng.nextDouble(-1.0, 1.0);
@@ -49,19 +47,7 @@ DgemmNaive::expectedColdTrafficBytes() const
     return std::numeric_limits<double>::quiet_NaN();
 }
 
-void
-DgemmNaive::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-DgemmNaive::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-DgemmBlocked::DgemmBlocked(size_t n, size_t block) : DgemmBase(n)
+DgemmBlocked::DgemmBlocked(size_t n, size_t block) : EngineKernel(n)
 {
     if (block == 0) {
         // Three b x b double tiles should fit in a 32 KiB L1.
@@ -84,18 +70,6 @@ DgemmBlocked::expectedColdTrafficBytes() const
     return 16.0 * n * n * n / b + compulsory;
 }
 
-void
-DgemmBlocked::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-DgemmBlocked::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
 double
 DgemmRegBlocked::expectedColdTrafficBytes() const
 {
@@ -105,18 +79,6 @@ DgemmRegBlocked::expectedColdTrafficBytes() const
     // A and B are re-streamed once per column tile when the working set
     // exceeds the LLC; no tight closed form — leave it to measurement.
     return std::numeric_limits<double>::quiet_NaN();
-}
-
-void
-DgemmRegBlocked::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-DgemmRegBlocked::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
 }
 
 } // namespace rfl::kernels

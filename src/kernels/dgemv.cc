@@ -1,14 +1,7 @@
 #include "kernels/dgemv.hh"
 
-#include "support/logging.hh"
-
 namespace rfl::kernels
 {
-
-Dgemv::Dgemv(size_t m, size_t n) : m_(m), n_(n), a_(m * n), x_(n), y_(m)
-{
-    RFL_ASSERT(m > 0 && n > 0);
-}
 
 std::string
 Dgemv::sizeLabel() const
@@ -19,6 +12,11 @@ Dgemv::sizeLabel() const
 void
 Dgemv::init(uint64_t seed)
 {
+    if (a_.empty()) {
+        a_.reset(m_ * n_);
+        x_.reset(n_);
+        y_.reset(m_);
+    }
     Rng rng(seed);
     for (size_t i = 0; i < m_ * n_; ++i)
         a_[i] = rng.nextDouble(-1.0, 1.0);
@@ -26,18 +24,6 @@ Dgemv::init(uint64_t seed)
         x_[i] = rng.nextDouble(-1.0, 1.0);
     for (size_t i = 0; i < m_; ++i)
         y_[i] = rng.nextDouble(-1.0, 1.0);
-}
-
-void
-Dgemv::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-Dgemv::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
 }
 
 double

@@ -19,11 +19,11 @@ namespace rfl::kernels
 {
 
 /** See file comment. */
-class Dgemv : public Kernel
+class Dgemv : public EngineKernel<Dgemv>
 {
   public:
     /** @param m rows, @param n columns of A. */
-    Dgemv(size_t m, size_t n);
+    Dgemv(size_t m, size_t n) : m_(m), n_(n) { RFL_ASSERT(m > 0 && n > 0); }
 
     std::string name() const override { return "dgemv"; }
     std::string sizeLabel() const override;
@@ -42,11 +42,11 @@ class Dgemv : public Kernel
                16.0 * static_cast<double>(m_);
     }
     void init(uint64_t seed) override;
-    void run(NativeEngine &e, int part, int nparts) override;
-    void run(SimEngine &e, int part, int nparts) override;
     double checksum() const override;
 
   private:
+    friend EngineKernel;
+
     template <typename E>
     void
     runT(E &e, int part, int nparts)

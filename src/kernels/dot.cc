@@ -1,14 +1,7 @@
 #include "kernels/dot.hh"
 
-#include "support/logging.hh"
-
 namespace rfl::kernels
 {
-
-Dot::Dot(size_t n) : n_(n), x_(n), y_(n)
-{
-    RFL_ASSERT(n > 0);
-}
 
 std::string
 Dot::sizeLabel() const
@@ -19,24 +12,16 @@ Dot::sizeLabel() const
 void
 Dot::init(uint64_t seed)
 {
+    if (x_.empty()) {
+        x_.reset(n_);
+        y_.reset(n_);
+    }
     Rng rng(seed);
     result_.reset();
     for (size_t i = 0; i < n_; ++i) {
         x_[i] = rng.nextDouble(-1.0, 1.0);
         y_[i] = rng.nextDouble(-1.0, 1.0);
     }
-}
-
-void
-Dot::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-Dot::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
 }
 
 } // namespace rfl::kernels

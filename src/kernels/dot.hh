@@ -18,10 +18,10 @@ namespace rfl::kernels
 {
 
 /** See file comment. */
-class Dot : public Kernel
+class Dot : public EngineKernel<Dot>
 {
   public:
-    explicit Dot(size_t n);
+    explicit Dot(size_t n) : n_(n) { RFL_ASSERT(n > 0); }
 
     std::string name() const override { return "dot"; }
     std::string sizeLabel() const override;
@@ -38,14 +38,11 @@ class Dot : public Kernel
         return 16.0 * static_cast<double>(n_);
     }
     void init(uint64_t seed) override;
-    void run(NativeEngine &e, int part, int nparts) override;
-    void run(SimEngine &e, int part, int nparts) override;
     double checksum() const override { return result_.total(); }
 
-    /** @return the accumulated dot product over all run partitions. */
-    double result() const { return result_.total(); }
-
   private:
+    friend EngineKernel;
+
     template <typename E>
     void
     runT(E &e, int part, int nparts)

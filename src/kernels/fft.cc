@@ -18,31 +18,10 @@ isPow2(size_t v)
 
 } // namespace
 
-Fft::Fft(size_t n)
-    : n_(n), log2n_(std::log2(static_cast<double>(n))), data_(2 * n),
-      twiddle_(n)
+Fft::Fft(size_t n) : n_(n), log2n_(std::log2(static_cast<double>(n)))
 {
     if (!isPow2(n) || n < 4)
         fatal("Fft: n must be a power of two >= 4 (got %zu)", n);
-
-    // Twiddle table: w^k = exp(-2 pi i k / n) for k in [0, n/2).
-    for (size_t k = 0; k < n_ / 2; ++k) {
-        const double ang =
-            -2.0 * M_PI * static_cast<double>(k) / static_cast<double>(n_);
-        twiddle_[2 * k] = std::cos(ang);
-        twiddle_[2 * k + 1] = std::sin(ang);
-    }
-
-    // Bit-reversal index table.
-    bitrev_.resize(n_);
-    const int bits = static_cast<int>(std::round(log2n_));
-    for (size_t i = 0; i < n_; ++i) {
-        size_t r = 0;
-        for (int b = 0; b < bits; ++b)
-            if (i & (1ull << b))
-                r |= 1ull << (bits - 1 - b);
-        bitrev_[i] = r;
-    }
 }
 
 std::string
@@ -63,23 +42,32 @@ Fft::expectedColdTrafficBytes() const
 void
 Fft::init(uint64_t seed)
 {
+    if (data_.empty()) {
+        data_.reset(2 * n_);
+        twiddle_.reset(n_);
+
+        // Twiddle table: w^k = exp(-2 pi i k / n) for k in [0, n/2).
+        for (size_t k = 0; k < n_ / 2; ++k) {
+            const double ang = -2.0 * M_PI * static_cast<double>(k) /
+                               static_cast<double>(n_);
+            twiddle_[2 * k] = std::cos(ang);
+            twiddle_[2 * k + 1] = std::sin(ang);
+        }
+
+        // Bit-reversal index table.
+        bitrev_.resize(n_);
+        const int bits = static_cast<int>(std::round(log2n_));
+        for (size_t i = 0; i < n_; ++i) {
+            size_t r = 0;
+            for (int b = 0; b < bits; ++b)
+                if (i & (1ull << b))
+                    r |= 1ull << (bits - 1 - b);
+            bitrev_[i] = r;
+        }
+    }
     Rng rng(seed);
     for (size_t i = 0; i < 2 * n_; ++i)
         data_[i] = rng.nextDouble(-1.0, 1.0);
-}
-
-void
-Fft::run(NativeEngine &e, int part, int nparts)
-{
-    RFL_ASSERT(part == 0 && nparts == 1);
-    runT(e);
-}
-
-void
-Fft::run(SimEngine &e, int part, int nparts)
-{
-    RFL_ASSERT(part == 0 && nparts == 1);
-    runT(e);
 }
 
 double

@@ -4,7 +4,11 @@
  * models.
  *
  * Every kernel:
- *   - owns its operands (cache-line aligned),
+ *   - checks its parameters when constructed, and allocates nothing
+ *     then: every query below except run() and checksum() answers
+ *     from the parameters alone, so constructing a kernel is how a
+ *     spec is validated,
+ *   - owns its operands (cache-line aligned), allocated by init(),
  *   - initializes them deterministically from a seed,
  *   - runs on either engine (same template body; see engine.hh),
  *   - can be partitioned across simulated cores (part / nparts),
@@ -106,7 +110,12 @@ class Kernel
      */
     virtual double expectedWarmTrafficBytes(uint64_t llc_bytes) const;
 
-    /** Deterministically (re)initialize operands. */
+    /**
+     * Deterministically (re)initialize the operands from @p seed. The
+     * first call allocates them, in member order (so they register
+     * with an active AddressArena in that order); later calls refill.
+     * Must precede run() and checksum().
+     */
     virtual void init(uint64_t seed) = 0;
 
     /** Run partition @p part of @p nparts on the native engine. */
@@ -114,14 +123,6 @@ class Kernel
 
     /** Run partition @p part of @p nparts on the simulated engine. */
     virtual void run(SimEngine &e, int part, int nparts) = 0;
-
-    /** Convenience: run the whole kernel single-threaded. */
-    template <typename E>
-    void
-    runAll(E &e)
-    {
-        run(e, 0, 1);
-    }
 
     /** @return whether the kernel supports nparts > 1. */
     virtual bool parallelizable() const { return true; }
@@ -143,6 +144,31 @@ class Kernel
   protected:
     /** Default matches the default simulated platform's 10 MiB L3. */
     uint64_t llcHintBytes_ = 10ull * 1024 * 1024;
+};
+
+/**
+ * A kernel whose run() overrides both call Derived::runT, the one
+ * template body every engine instantiates (see engine.hh). Derived
+ * declares `friend EngineKernel;` so runT can stay private; @p Base
+ * lets a family share state (DgemmBase).
+ */
+template <typename Derived, typename Base = Kernel>
+class EngineKernel : public Base
+{
+  public:
+    using Base::Base;
+
+    void
+    run(NativeEngine &e, int part, int nparts) override
+    {
+        static_cast<Derived *>(this)->runT(e, part, nparts);
+    }
+
+    void
+    run(SimEngine &e, int part, int nparts) override
+    {
+        static_cast<Derived *>(this)->runT(e, part, nparts);
+    }
 };
 
 } // namespace rfl::kernels

@@ -3,16 +3,8 @@
 #include <numeric>
 #include <vector>
 
-#include "support/logging.hh"
-
 namespace rfl::kernels
 {
-
-PointerChase::PointerChase(size_t nodes, size_t hops)
-    : nodes_(nodes), hops_(hops == 0 ? nodes : hops), next_(8 * nodes)
-{
-    RFL_ASSERT(nodes >= 2);
-}
 
 std::string
 PointerChase::sizeLabel() const
@@ -26,6 +18,8 @@ PointerChase::init(uint64_t seed)
 {
     // Sattolo's algorithm: a single cycle covering all nodes, so a chase
     // of `nodes` hops touches every node exactly once.
+    if (next_.empty())
+        next_.reset(8 * nodes_);
     Rng rng(seed);
     std::vector<uint64_t> perm(nodes_);
     std::iota(perm.begin(), perm.end(), 0);
@@ -36,20 +30,6 @@ PointerChase::init(uint64_t seed)
     for (size_t i = 0; i < nodes_; ++i)
         next_[8 * perm[i]] = perm[(i + 1) % nodes_];
     lastVisited_ = 0;
-}
-
-void
-PointerChase::run(NativeEngine &e, int part, int nparts)
-{
-    RFL_ASSERT(part == 0 && nparts == 1);
-    runT(e);
-}
-
-void
-PointerChase::run(SimEngine &e, int part, int nparts)
-{
-    RFL_ASSERT(part == 0 && nparts == 1);
-    runT(e);
 }
 
 } // namespace rfl::kernels

@@ -23,14 +23,18 @@ namespace rfl::kernels
 {
 
 /** See file comment. */
-class PointerChase : public Kernel
+class PointerChase : public EngineKernel<PointerChase>
 {
   public:
     /**
      * @param nodes number of 64-byte nodes in the permutation cycle
      * @param hops  loads to perform (defaults to one full cycle)
      */
-    explicit PointerChase(size_t nodes, size_t hops = 0);
+    explicit PointerChase(size_t nodes, size_t hops = 0)
+        : nodes_(nodes), hops_(hops == 0 ? nodes : hops)
+    {
+        RFL_ASSERT(nodes >= 2);
+    }
 
     std::string name() const override { return "pointer-chase"; }
     std::string sizeLabel() const override;
@@ -43,8 +47,6 @@ class PointerChase : public Kernel
         return 64.0 * unique;
     }
     void init(uint64_t seed) override;
-    void run(NativeEngine &e, int part, int nparts) override;
-    void run(SimEngine &e, int part, int nparts) override;
     bool parallelizable() const override { return false; }
     bool dependentAccesses() const override { return true; }
     double checksum() const override
@@ -53,10 +55,13 @@ class PointerChase : public Kernel
     }
 
   private:
+    friend EngineKernel;
+
     template <typename E>
     void
-    runT(E &e)
+    runT(E &e, int part, int nparts)
     {
+        RFL_ASSERT(part == 0 && nparts == 1);
         // Node i's "next" pointer is next_[8*i] (nodes are 64 B apart so
         // consecutive hops never share a line).
         const uint64_t *next = next_.data();

@@ -1,6 +1,9 @@
 #include "kernels/registry.hh"
 
-#include <map>
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <type_traits>
 
 #include "kernels/daxpy.hh"
 #include "kernels/dgemm.hh"
@@ -22,38 +25,144 @@ namespace rfl::kernels
 namespace
 {
 
-/** key=value parameters of a spec with defaulting lookup. */
-class Params
+// Upper bounds keep every workingSetBytes() product inside 64 bits; the
+// campaign's footprint limit (CampaignSpec::validate) does the rest.
+constexpr size_t kMaxLen = size_t{1} << 40;  // elements of a vector
+constexpr size_t kMaxDim = size_t{1} << 20;  // side of a square matrix
+constexpr size_t kMaxMv = size_t{1} << 24;   // side of dgemv's matrix
+constexpr size_t kMaxIndex = INT32_MAX;      // spmv's int32 indices
+
+/** One key=value parameter: its default and inclusive bounds. */
+struct Param
 {
-  public:
-    explicit Params(const std::string &text)
-    {
-        size_t pos = 0;
-        while (pos < text.size()) {
-            size_t comma = text.find(',', pos);
-            if (comma == std::string::npos)
-                comma = text.size();
-            const std::string item = text.substr(pos, comma - pos);
-            const size_t eq = item.find('=');
-            if (eq == std::string::npos)
-                fatal("kernel spec: bad parameter '%s'", item.c_str());
-            map_[item.substr(0, eq)] = item.substr(eq + 1);
-            pos = comma + 1;
-        }
-    }
-
-    size_t
-    get(const std::string &key, size_t fallback) const
-    {
-        auto it = map_.find(key);
-        if (it == map_.end())
-            return fallback;
-        return static_cast<size_t>(std::stoull(it->second));
-    }
-
-  private:
-    std::map<std::string, std::string> map_;
+    const char *key = nullptr; // nullptr marks an unused slot
+    size_t fallback = 0;
+    size_t lo = 0;
+    size_t hi = 0;
 };
+
+using Args = std::array<size_t, 2>;
+
+/** One row of the kernel table. */
+struct Entry
+{
+    const char *name;
+    const char *what;
+    std::array<Param, 2> params;
+    std::unique_ptr<Kernel> (*make)(const Args &);
+};
+
+/** Factory of a kernel whose constructor takes its keys in order. */
+template <typename K>
+std::unique_ptr<Kernel>
+make(const Args &a)
+{
+    if constexpr (std::is_constructible_v<K, size_t, size_t>)
+        return std::make_unique<K>(a[0], a[1]);
+    else
+        return std::make_unique<K>(a[0]);
+}
+
+const Entry kKernels[] = {
+    {"daxpy", "y = a*x + y", {{{"n", 1 << 16, 1, kMaxLen}}},
+     make<Daxpy>},
+    {"dot", "s = x . y", {{{"n", 1 << 16, 1, kMaxLen}}}, make<Dot>},
+    {"triad", "a = b + s*c (regular stores)",
+     {{{"n", 1 << 16, 1, kMaxLen}}},
+     [](const Args &a) -> std::unique_ptr<Kernel> {
+         return std::make_unique<Triad>(a[0], false);
+     }},
+    {"triad-nt", "a = b + s*c (non-temporal stores)",
+     {{{"n", 1 << 16, 1, kMaxLen}}},
+     [](const Args &a) -> std::unique_ptr<Kernel> {
+         return std::make_unique<Triad>(a[0], true);
+     }},
+    {"sum", "s = sum(x)", {{{"n", 1 << 16, 1, kMaxLen}}},
+     make<SumReduction>},
+    {"stencil3", "3-point stencil", {{{"n", 1 << 16, 16, kMaxLen}}},
+     make<Stencil3>},
+    {"dgemv", "y = A*x + y, A is m x n (m=0: square)",
+     {{{"m", 0, 0, kMaxMv}, {"n", 512, 1, kMaxMv}}},
+     [](const Args &a) -> std::unique_ptr<Kernel> {
+         return std::make_unique<Dgemv>(a[0] == 0 ? a[1] : a[0], a[1]);
+     }},
+    {"dgemm-naive", "C += A*B, triple loop",
+     {{{"n", 128, 1, kMaxDim}}}, make<DgemmNaive>},
+    {"dgemm-blocked", "C += A*B, tiled (block=0: 32)",
+     {{{"n", 128, 1, kMaxDim}, {"block", 0, 0, kMaxDim}}},
+     make<DgemmBlocked>},
+    {"dgemm-opt", "C += A*B, register-blocked",
+     {{{"n", 128, 1, kMaxDim}}}, make<DgemmRegBlocked>},
+    {"fft", "in-place radix-2 complex FFT (n a power of two)",
+     {{{"n", 1 << 12, 4, size_t{1} << 36}}}, make<Fft>},
+    {"spmv-csr", "y = A*x, CSR, nnz per row <= rows",
+     {{{"rows", 4096, 1, kMaxIndex}, {"nnz", 16, 1, kMaxIndex}}},
+     make<SpmvCsr>},
+    {"strided-sum", "strided read probe (stride in doubles)",
+     {{{"n", 65536, 1, kMaxLen}, {"stride", 8, 1, kMaxDim}}},
+     make<StridedSum>},
+    {"pointer-chase", "dependent-load latency probe (hops=0: nodes)",
+     {{{"nodes", 4096, 2, kMaxLen}, {"hops", 0, 0, kMaxLen}}},
+     make<PointerChase>},
+};
+
+/** @return the decimal value of @p text; fatal() unless it is one. */
+size_t
+parseValue(const std::string &spec, const Param &p,
+           const std::string &text)
+{
+    if (text.empty())
+        fatal("kernel spec '%s': %s has no value", spec.c_str(), p.key);
+    size_t v = 0;
+    bool wrapped = false;
+    for (const char c : text) {
+        if (c < '0' || c > '9')
+            fatal("kernel spec '%s': %s='%s' is not a decimal number",
+                  spec.c_str(), p.key, text.c_str());
+        const size_t d = static_cast<size_t>(c - '0');
+        wrapped = wrapped || v > (SIZE_MAX - d) / 10;
+        v = v * 10 + d;
+    }
+    if (wrapped || v < p.lo || v > p.hi)
+        fatal("kernel spec '%s': %s=%s is out of range [%zu, %zu]",
+              spec.c_str(), p.key, text.c_str(), p.lo, p.hi);
+    return v;
+}
+
+/** @return @p e's arguments from the "key=value,..." text at @p pos. */
+Args
+parseArgs(const Entry &e, const std::string &spec, size_t pos)
+{
+    Args args{};
+    std::array<bool, 2> seen{};
+    for (size_t i = 0; i < args.size(); ++i)
+        args[i] = e.params[i].fallback;
+    while (pos != std::string::npos) {
+        const size_t comma = spec.find(',', pos);
+        const std::string item = spec.substr(
+            pos, comma == std::string::npos ? comma : comma - pos);
+        pos = comma == std::string::npos ? comma : comma + 1;
+
+        const size_t eq = item.find('=');
+        if (eq == std::string::npos)
+            fatal("kernel spec '%s': bad parameter '%s' (want key=value)",
+                  spec.c_str(), item.c_str());
+        const std::string key = item.substr(0, eq);
+        size_t i = 0;
+        while (i < args.size() &&
+               !(e.params[i].key && key == e.params[i].key))
+            ++i;
+        if (i == args.size())
+            fatal("kernel spec '%s': unknown parameter '%s' for %s",
+                  spec.c_str(), key.c_str(), e.name);
+        if (seen[i])
+            fatal("kernel spec '%s': parameter '%s' given twice",
+                  spec.c_str(), key.c_str());
+        seen[i] = true;
+        args[i] = parseValue(spec, e.params[i], item.substr(eq + 1));
+    }
+    return args;
+}
 
 } // namespace
 
@@ -63,8 +172,6 @@ createKernel(const std::string &spec)
     const size_t colon = spec.find(':');
     const std::string name = spec.substr(0, colon);
 
-    // Trace replay takes a file path, which may contain commas and '='
-    // characters, so it bypasses the key=value parameter parser.
     if (name == "trace") {
         const std::string rest =
             colon == std::string::npos ? std::string()
@@ -76,47 +183,12 @@ createKernel(const std::string &spec)
         return std::make_unique<trace::TraceKernel>(rest.substr(5));
     }
 
-    const Params params(colon == std::string::npos
-                            ? std::string()
-                            : spec.substr(colon + 1));
-
-    if (name == "daxpy")
-        return std::make_unique<Daxpy>(params.get("n", 1 << 16));
-    if (name == "dot")
-        return std::make_unique<Dot>(params.get("n", 1 << 16));
-    if (name == "triad")
-        return std::make_unique<Triad>(params.get("n", 1 << 16), false);
-    if (name == "triad-nt")
-        return std::make_unique<Triad>(params.get("n", 1 << 16), true);
-    if (name == "sum")
-        return std::make_unique<SumReduction>(params.get("n", 1 << 16));
-    if (name == "stencil3")
-        return std::make_unique<Stencil3>(params.get("n", 1 << 16));
-    if (name == "dgemv") {
-        const size_t n = params.get("n", 512);
-        return std::make_unique<Dgemv>(params.get("m", n), n);
-    }
-    if (name == "dgemm-naive")
-        return std::make_unique<DgemmNaive>(params.get("n", 128));
-    if (name == "dgemm-blocked") {
-        return std::make_unique<DgemmBlocked>(params.get("n", 128),
-                                              params.get("block", 0));
-    }
-    if (name == "dgemm-opt")
-        return std::make_unique<DgemmRegBlocked>(params.get("n", 128));
-    if (name == "fft")
-        return std::make_unique<Fft>(params.get("n", 1 << 12));
-    if (name == "spmv-csr") {
-        return std::make_unique<SpmvCsr>(params.get("rows", 4096),
-                                         params.get("nnz", 16));
-    }
-    if (name == "strided-sum") {
-        return std::make_unique<StridedSum>(params.get("n", 65536),
-                                            params.get("stride", 8));
-    }
-    if (name == "pointer-chase") {
-        return std::make_unique<PointerChase>(params.get("nodes", 4096),
-                                              params.get("hops", 0));
+    for (const Entry &e : kKernels) {
+        if (name != e.name)
+            continue;
+        const size_t pos =
+            colon == std::string::npos ? colon : colon + 1;
+        return e.make(parseArgs(e, spec, pos));
     }
     fatal("unknown kernel '%s'", name.c_str());
 }
@@ -124,33 +196,35 @@ createKernel(const std::string &spec)
 std::vector<std::string>
 kernelNames()
 {
-    return {"daxpy",       "dot",           "triad",
-            "triad-nt",    "sum",           "stencil3",
-            "dgemv",       "dgemm-naive",   "dgemm-blocked",
-            "dgemm-opt",   "fft",           "spmv-csr",
-            "strided-sum", "pointer-chase"};
+    std::vector<std::string> names;
+    for (const Entry &e : kKernels)
+        names.push_back(e.name);
+    return names;
 }
 
 std::vector<std::string>
 kernelHelp()
 {
-    return {
-        "daxpy:n=<len>             y = a*x + y",
-        "dot:n=<len>               s = x . y",
-        "triad:n=<len>             a = b + s*c (regular stores)",
-        "triad-nt:n=<len>          a = b + s*c (non-temporal stores)",
-        "sum:n=<len>               s = sum(x)",
-        "stencil3:n=<len>          3-point stencil",
-        "dgemv:m=<rows>,n=<cols>   y = A*x + y",
-        "dgemm-naive:n=<dim>       C += A*B, triple loop",
-        "dgemm-blocked:n=<dim>,block=<b>  C += A*B, tiled",
-        "dgemm-opt:n=<dim>         C += A*B, register-blocked",
-        "fft:n=<pow2>              in-place radix-2 complex FFT",
-        "spmv-csr:rows=<r>,nnz=<per-row>  y = A*x, CSR",
-        "strided-sum:n=<touches>,stride=<doubles>  strided read probe",
-        "pointer-chase:nodes=<n>,hops=<h> dependent-load latency probe",
-        "trace:file=<path>         replay a recorded access-stream trace",
+    const auto line = [](std::string usage, const char *what) {
+        usage.resize(std::max<size_t>(usage.size() + 2, 34), ' ');
+        return usage + what;
     };
+    std::vector<std::string> help;
+    for (const Entry &e : kKernels) {
+        std::string usage = e.name;
+        char sep = ':';
+        for (const Param &p : e.params) {
+            if (p.key) {
+                usage += sep + std::string(p.key) + "=" +
+                         std::to_string(p.fallback);
+                sep = ',';
+            }
+        }
+        help.push_back(line(usage, e.what));
+    }
+    help.push_back(line("trace:file=<path>",
+                        "replay a recorded access-stream trace"));
+    return help;
 }
 
 } // namespace rfl::kernels

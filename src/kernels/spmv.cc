@@ -1,6 +1,7 @@
 #include "kernels/spmv.hh"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "support/logging.hh"
 
@@ -8,10 +9,16 @@ namespace rfl::kernels
 {
 
 SpmvCsr::SpmvCsr(size_t rows, size_t nnz_per_row)
-    : rows_(rows), nnzPerRow_(nnz_per_row), vals_(rows * nnz_per_row),
-      cols_(rows * nnz_per_row), rowptr_(rows + 1), x_(rows), y_(rows)
+    : rows_(rows), nnzPerRow_(nnz_per_row)
 {
-    RFL_ASSERT(rows > 0 && nnz_per_row > 0 && nnz_per_row <= rows);
+    if (rows == 0 || nnz_per_row == 0 || nnz_per_row > rows)
+        fatal("spmv-csr: need 1 <= nnz <= rows, got rows=%zu nnz=%zu",
+              rows, nnz_per_row);
+    // Column indices and row pointers are int32.
+    if (rows > INT32_MAX / nnz_per_row)
+        fatal("spmv-csr: rows*nnz = %zu*%zu exceeds the 32-bit index "
+              "range",
+              rows, nnz_per_row);
 }
 
 std::string
@@ -38,6 +45,13 @@ SpmvCsr::expectedColdTrafficBytes() const
 void
 SpmvCsr::init(uint64_t seed)
 {
+    if (vals_.empty()) {
+        vals_.reset(nnz());
+        cols_.reset(nnz());
+        rowptr_.reset(rows_ + 1);
+        x_.reset(rows_);
+        y_.reset(rows_);
+    }
     Rng rng(seed);
     rowptr_[0] = 0;
     for (size_t r = 0; r < rows_; ++r)
@@ -58,18 +72,6 @@ SpmvCsr::init(uint64_t seed)
         x_[i] = rng.nextDouble(-1.0, 1.0);
         y_[i] = 0.0;
     }
-}
-
-void
-SpmvCsr::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-SpmvCsr::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
 }
 
 double

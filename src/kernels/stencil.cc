@@ -1,14 +1,7 @@
 #include "kernels/stencil.hh"
 
-#include "support/logging.hh"
-
 namespace rfl::kernels
 {
-
-Stencil3::Stencil3(size_t n) : n_(n), a_(n), b_(n)
-{
-    RFL_ASSERT(n >= 16);
-}
 
 std::string
 Stencil3::sizeLabel() const
@@ -19,23 +12,15 @@ Stencil3::sizeLabel() const
 void
 Stencil3::init(uint64_t seed)
 {
+    if (a_.empty()) {
+        a_.reset(n_);
+        b_.reset(n_);
+    }
     Rng rng(seed);
     for (size_t i = 0; i < n_; ++i) {
         a_[i] = rng.nextDouble(-1.0, 1.0);
         b_[i] = 0.0;
     }
-}
-
-void
-Stencil3::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-Stencil3::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
 }
 
 double

@@ -23,10 +23,10 @@ namespace rfl::kernels
 {
 
 /** See file comment. */
-class Stencil3 : public Kernel
+class Stencil3 : public EngineKernel<Stencil3>
 {
   public:
-    explicit Stencil3(size_t n);
+    explicit Stencil3(size_t n) : n_(n) { RFL_ASSERT(n >= 16); }
 
     std::string name() const override { return "stencil3"; }
     std::string sizeLabel() const override;
@@ -40,11 +40,11 @@ class Stencil3 : public Kernel
         return 24.0 * static_cast<double>(n_);
     }
     void init(uint64_t seed) override;
-    void run(NativeEngine &e, int part, int nparts) override;
-    void run(SimEngine &e, int part, int nparts) override;
     double checksum() const override;
 
   private:
+    friend EngineKernel;
+
     template <typename E>
     void
     runT(E &e, int part, int nparts)

@@ -1,15 +1,7 @@
 #include "kernels/strided.hh"
 
-#include "support/logging.hh"
-
 namespace rfl::kernels
 {
-
-StridedSum::StridedSum(size_t n, size_t stride)
-    : n_(n), stride_(stride), x_(n * stride)
-{
-    RFL_ASSERT(n > 0 && stride > 0);
-}
 
 std::string
 StridedSum::sizeLabel() const
@@ -32,22 +24,12 @@ StridedSum::expectedColdTrafficBytes() const
 void
 StridedSum::init(uint64_t seed)
 {
+    if (x_.empty())
+        x_.reset(n_ * stride_);
     Rng rng(seed);
     result_.reset();
     for (size_t i = 0; i < x_.size(); ++i)
         x_[i] = rng.nextDouble(-1.0, 1.0);
-}
-
-void
-StridedSum::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-StridedSum::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
 }
 
 } // namespace rfl::kernels

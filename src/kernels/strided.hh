@@ -25,14 +25,17 @@ namespace rfl::kernels
 {
 
 /** See file comment. */
-class StridedSum : public Kernel
+class StridedSum : public EngineKernel<StridedSum>
 {
   public:
     /**
      * @param n      number of touched elements
      * @param stride distance between touched elements, in doubles
      */
-    StridedSum(size_t n, size_t stride);
+    StridedSum(size_t n, size_t stride) : n_(n), stride_(stride)
+    {
+        RFL_ASSERT(n > 0 && stride > 0);
+    }
 
     std::string name() const override { return "strided-sum"; }
     std::string sizeLabel() const override;
@@ -43,13 +46,11 @@ class StridedSum : public Kernel
     }
     double expectedColdTrafficBytes() const override;
     void init(uint64_t seed) override;
-    void run(NativeEngine &e, int part, int nparts) override;
-    void run(SimEngine &e, int part, int nparts) override;
     double checksum() const override { return result_.total(); }
 
-    size_t stride() const { return stride_; }
-
   private:
+    friend EngineKernel;
+
     template <typename E>
     void
     runT(E &e, int part, int nparts)

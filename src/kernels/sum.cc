@@ -1,14 +1,7 @@
 #include "kernels/sum.hh"
 
-#include "support/logging.hh"
-
 namespace rfl::kernels
 {
-
-SumReduction::SumReduction(size_t n) : n_(n), x_(n)
-{
-    RFL_ASSERT(n > 0);
-}
 
 std::string
 SumReduction::sizeLabel() const
@@ -19,22 +12,12 @@ SumReduction::sizeLabel() const
 void
 SumReduction::init(uint64_t seed)
 {
+    if (x_.empty())
+        x_.reset(n_);
     Rng rng(seed);
     result_.reset();
     for (size_t i = 0; i < n_; ++i)
         x_[i] = rng.nextDouble(-1.0, 1.0);
-}
-
-void
-SumReduction::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-SumReduction::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
 }
 
 } // namespace rfl::kernels

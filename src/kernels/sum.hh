@@ -19,10 +19,10 @@ namespace rfl::kernels
 {
 
 /** See file comment. */
-class SumReduction : public Kernel
+class SumReduction : public EngineKernel<SumReduction>
 {
   public:
-    explicit SumReduction(size_t n);
+    explicit SumReduction(size_t n) : n_(n) { RFL_ASSERT(n > 0); }
 
     std::string name() const override { return "sum"; }
     std::string sizeLabel() const override;
@@ -36,13 +36,11 @@ class SumReduction : public Kernel
         return 8.0 * static_cast<double>(n_);
     }
     void init(uint64_t seed) override;
-    void run(NativeEngine &e, int part, int nparts) override;
-    void run(SimEngine &e, int part, int nparts) override;
     double checksum() const override { return result_.total(); }
 
-    double result() const { return result_.total(); }
-
   private:
+    friend EngineKernel;
+
     template <typename E>
     void
     runT(E &e, int part, int nparts)

@@ -1,14 +1,7 @@
 #include "kernels/triad.hh"
 
-#include "support/logging.hh"
-
 namespace rfl::kernels
 {
-
-Triad::Triad(size_t n, bool nt) : n_(n), nt_(nt), a_(n), b_(n), c_(n)
-{
-    RFL_ASSERT(n > 0);
-}
 
 std::string
 Triad::sizeLabel() const
@@ -19,6 +12,11 @@ Triad::sizeLabel() const
 void
 Triad::init(uint64_t seed)
 {
+    if (a_.empty()) {
+        a_.reset(n_);
+        b_.reset(n_);
+        c_.reset(n_);
+    }
     Rng rng(seed);
     s_ = rng.nextDouble(0.5, 2.0);
     for (size_t i = 0; i < n_; ++i) {
@@ -26,18 +24,6 @@ Triad::init(uint64_t seed)
         b_[i] = rng.nextDouble(-1.0, 1.0);
         c_[i] = rng.nextDouble(-1.0, 1.0);
     }
-}
-
-void
-Triad::run(NativeEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
-}
-
-void
-Triad::run(SimEngine &e, int part, int nparts)
-{
-    runT(e, part, nparts);
 }
 
 double

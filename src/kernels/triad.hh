@@ -23,14 +23,17 @@ namespace rfl::kernels
 {
 
 /** See file comment. */
-class Triad : public Kernel
+class Triad : public EngineKernel<Triad>
 {
   public:
     /**
      * @param n  vector length
      * @param nt use non-temporal stores for the output array
      */
-    explicit Triad(size_t n, bool nt = false);
+    explicit Triad(size_t n, bool nt = false) : n_(n), nt_(nt)
+    {
+        RFL_ASSERT(n > 0);
+    }
 
     std::string name() const override { return nt_ ? "triad-nt" : "triad"; }
     std::string sizeLabel() const override;
@@ -44,11 +47,11 @@ class Triad : public Kernel
         return (nt_ ? 24.0 : 32.0) * static_cast<double>(n_);
     }
     void init(uint64_t seed) override;
-    void run(NativeEngine &e, int part, int nparts) override;
-    void run(SimEngine &e, int part, int nparts) override;
     double checksum() const override;
 
   private:
+    friend EngineKernel;
+
     template <typename E>
     void
     runT(E &e, int part, int nparts)

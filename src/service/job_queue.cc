@@ -153,8 +153,9 @@ JobQueue::submit(const std::string &specText,
         return outcome;
     }
 
-    // Parse + validate outside the lock: validation instantiates
-    // kernels and must not serialize concurrent submitters.
+    // Parse + validate outside the lock: validation parses every
+    // kernel spec and reads trace headers (it allocates no operands),
+    // and must not serialize concurrent submitters.
     campaign::CampaignSpec spec;
     try {
         spec = campaign::parseCampaignSpec(specText);

@@ -12,6 +12,7 @@
 #define RFL_SUPPORT_ALIGNED_BUFFER_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <utility>
@@ -59,13 +60,19 @@ class AlignedBuffer
 
     ~AlignedBuffer() { release(); }
 
-    /** Re-allocate to @p n zero-initialized elements. */
+    /**
+     * Re-allocate to @p n zero-initialized elements; throws
+     * std::bad_alloc when n * sizeof(T), rounded up to the alignment,
+     * does not fit in size_t.
+     */
     void
     reset(size_t n)
     {
         release();
         if (n == 0)
             return;
+        if (n > (SIZE_MAX - alignment) / sizeof(T))
+            throw std::bad_alloc();
         size_t bytes = n * sizeof(T);
         // aligned_alloc requires the size to be a multiple of the alignment.
         bytes = (bytes + alignment - 1) / alignment * alignment;

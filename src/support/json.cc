@@ -315,31 +315,42 @@ Json::makeObject()
     return Json(Kind::Object);
 }
 
+void
+Json::expect(Kind want) const
+{
+    static const char *const names[] = {"null",   "bool",  "number",
+                                        "string", "array", "object"};
+    if (kind_ != want)
+        throw JsonError(std::string("json: expected ") +
+                        names[static_cast<int>(want)] + ", got " +
+                        names[static_cast<int>(kind_)]);
+}
+
 bool
 Json::asBool() const
 {
-    RFL_ASSERT(kind_ == Kind::Bool);
+    expect(Kind::Bool);
     return bool_;
 }
 
 double
 Json::asNumber() const
 {
-    RFL_ASSERT(kind_ == Kind::Number);
+    expect(Kind::Number);
     return num_;
 }
 
 const std::string &
 Json::asString() const
 {
-    RFL_ASSERT(kind_ == Kind::String);
+    expect(Kind::String);
     return str_;
 }
 
 const std::vector<Json> &
 Json::asArray() const
 {
-    RFL_ASSERT(kind_ == Kind::Array);
+    expect(Kind::Array);
     return arr_;
 }
 
@@ -366,17 +377,17 @@ Json::set(const std::string &key, Json v)
 const Json &
 Json::at(const std::string &key) const
 {
-    RFL_ASSERT(kind_ == Kind::Object);
+    expect(Kind::Object);
     for (auto it = obj_.rbegin(); it != obj_.rend(); ++it)
         if (it->first == key)
             return it->second;
-    fatal("json: missing member '%s'", key.c_str());
+    throw JsonError("json: missing member '" + key + "'");
 }
 
 bool
 Json::has(const std::string &key) const
 {
-    RFL_ASSERT(kind_ == Kind::Object);
+    expect(Kind::Object);
     for (const auto &member : obj_)
         if (member.first == key)
             return true;

@@ -19,12 +19,24 @@
 #ifndef RFL_SUPPORT_JSON_HH
 #define RFL_SUPPORT_JSON_HH
 
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
 namespace rfl
 {
+
+/**
+ * A document of the wrong shape: a typed accessor met another kind, or
+ * at() a missing member. Thrown in every mode (fatal() may exit), so a
+ * reader of cached or untrusted JSON can catch it and recover.
+ */
+class JsonError : public std::runtime_error
+{
+  public:
+    using std::runtime_error::runtime_error;
+};
 
 /** Minimal JSON value (see file comment). */
 class Json
@@ -53,7 +65,7 @@ class Json
 
     Kind kind() const { return kind_; }
 
-    /** @name Typed accessors; panic on kind mismatch. */
+    /** @name Typed accessors; throw JsonError on kind mismatch. */
     ///@{
     bool asBool() const;
     double asNumber() const;
@@ -67,10 +79,12 @@ class Json
     /** Set an object member. */
     void set(const std::string &key, Json v);
 
-    /** @return the last member @p key; fatal() when absent. */
+    /** @return the last member @p key; JsonError when absent or when
+     *  this is not an object. */
     const Json &at(const std::string &key) const;
 
-    /** @return true when the object has member @p key. */
+    /** @return true when the object has member @p key; JsonError when
+     *  this is not an object. */
     bool has(const std::string &key) const;
 
     /** Render compactly (stable member order: insertion order). */
@@ -91,6 +105,9 @@ class Json
     class Parser;
 
     explicit Json(Kind kind) : kind_(kind) {}
+
+    /** Throw JsonError unless this value is of kind @p want. */
+    void expect(Kind want) const;
 
     void dumpTo(std::string &out) const;
 

@@ -3,22 +3,17 @@
  * Hot-path simulator telemetry: where do batch-drain cycles go?
  *
  * The simulator's batched drain is the hottest code in the tree, so
- * its counters live behind two gates:
- *   - compile time: instrumentation sites are compiled only when
- *     RFL_TELEMETRY is defined (the default build defines it; CMake
- *     option RFL_TELEMETRY=OFF produces a binary with literally zero
- *     telemetry instructions in the drain);
- *   - run time: when compiled in, every site is guarded by one
- *     relaxed atomic-bool load, hoisted out of per-record loops, so a
- *     binary with telemetry compiled in but *disabled* (the default
- *     at runtime) pays a branch per batch/run, not per access.
+ * its counters sit behind a runtime gate: every site is guarded by one
+ * relaxed atomic-bool load, hoisted out of per-record loops, so with
+ * telemetry disabled (the default) the drain pays a branch per
+ * batch/run, not per access.
  *
  * The counters are process-global atomics, deliberately NOT per
  * Machine: they answer fleet questions ("how much of the traffic
  * coalesced?", "what forces flushes?") across every machine a
  * campaign builds. They only ever observe — no simulator state reads
- * them — so golden bit-identical equivalence holds with telemetry on,
- * off, or absent.
+ * them — so golden bit-identical equivalence holds with telemetry on
+ * or off.
  *
  * Exposed through the global metrics Registry under the "sim" group
  * (rfl_sim_*): registerSimCollector() installs a collector mirroring
@@ -92,22 +87,16 @@ Registry::CollectorHandle registerSimCollector(Registry &registry);
 void ensureGlobalSimCollector();
 
 /**
- * Instrumentation-site macro: @p ... runs only when telemetry is both
- * compiled in and runtime-enabled. Keep sites out of per-record
- * loops; accumulate locally and publish per batch/span instead.
+ * Instrumentation-site macro: @p ... runs only when telemetry is
+ * runtime-enabled. Keep sites out of per-record loops; accumulate
+ * locally and publish per batch/span instead.
  */
-#ifdef RFL_TELEMETRY
 #define RFL_TELEM(...)                                                 \
     do {                                                               \
         if (::rfl::telemetry::simTelemetryEnabled()) {                 \
             __VA_ARGS__;                                               \
         }                                                              \
     } while (0)
-#else
-#define RFL_TELEM(...)                                                 \
-    do {                                                               \
-    } while (0)
-#endif
 
 } // namespace rfl::telemetry
 

@@ -55,11 +55,6 @@ class TraceKernel : public kernels::Kernel
     bool dependentAccesses() const override;
     double checksum() const override;
 
-    const std::string &path() const { return path_; }
-    const TraceSummary &summary() const { return reader_.summary(); }
-    /** Chunking-independent content hash of the stream. */
-    uint64_t stableHash() const { return reader_.stableHash(); }
-
   private:
     std::string path_;
     TraceReader reader_;

@@ -8,8 +8,11 @@
 
 #include <limits>
 #include <sstream>
+#include <string>
 
+#include "analysis/analysis.hh"
 #include "analysis/diff.hh"
+#include "support/json.hh"
 
 namespace
 {
@@ -52,6 +55,25 @@ TEST(AnalysisDiff, IdenticalDocumentsPass)
     EXPECT_TRUE(report.added.empty());
     // 2 scenario peaks + 4 kernel metrics compared.
     EXPECT_EQ(report.entries.size(), 6u);
+}
+
+TEST(AnalysisDecode, WrongShapeThrowsJsonError)
+{
+    // A member of the wrong type or a missing one must be catchable:
+    // roofline_report --diff turns JsonError into exit status 2.
+    const std::string text = encodeAnalysis(baseDoc());
+    std::string bad = text;
+    const std::string member = "\"kernel\":\"triad\"";
+    const size_t at = bad.find(member);
+    ASSERT_NE(at, std::string::npos) << text;
+    bad.replace(at, member.size(), "\"kernel\":7");
+    EXPECT_THROW(decodeAnalysis(bad), JsonError);
+
+    std::string missing = text;
+    missing.replace(missing.find("\"size\":"), 6, "\"sise\"");
+    EXPECT_THROW(decodeAnalysis(missing), JsonError);
+    EXPECT_THROW(decodeAnalysis("[1,2]"), JsonError);
+    EXPECT_EQ(encodeAnalysis(decodeAnalysis(text)), text);
 }
 
 TEST(AnalysisDiff, PerfDropGatesAndNamesKernelAndMetric)

@@ -18,6 +18,7 @@
 #include "campaign/sink.hh"
 #include "support/cancel.hh"
 #include "support/failpoint.hh"
+#include "support/json.hh"
 
 namespace
 {
@@ -230,6 +231,60 @@ TEST(CampaignExecutor, MeasureJobsDoNotWaitForTheirCeiling)
     rfl::failpoint::disarmAll();
 
     EXPECT_EQ(cache.stats().hits, measures);
+}
+
+TEST(CampaignExecutor, UndecodableCachedPayloadIsRecomputed)
+{
+    // Spill lines whose payloads parse but have another shape (a
+    // measurement whose kernel is a number, a model whose ceilings are
+    // not an array) count as misses: recompute, store, and hit on the
+    // next run.
+    CampaignSpec spec("bad_payload");
+    spec.addMachine("small", MachineConfig::smallTestMachine());
+    spec.addKernels({"daxpy:n=256"});
+    rfl::roofline::MeasureOptions cold;
+    cold.repetitions = 1;
+    spec.addVariant("cold-1c", cold);
+    const CampaignRun fresh = CampaignExecutor(ExecutorOptions{}).run(spec);
+
+    const std::string path =
+        ::testing::TempDir() + "rfl_exec_bad_payload.jsonl";
+    {
+        std::ofstream spill(path, std::ios::trunc);
+        for (const Job &job : fresh.jobs) {
+            rfl::Json line = rfl::Json::makeObject();
+            line.set("key", rfl::Json::makeString(job.cacheKey));
+            line.set("payload",
+                     rfl::Json::parse(job.kind == JobKind::Ceiling
+                                          ? "{\"compute\":7}"
+                                          : "{\"kernel\":1}"));
+            spill << line.dump() << "\n";
+        }
+    }
+
+    ExecutorOptions opts;
+    opts.threads = 1;
+    {
+        ResultCache cache(path);
+        ASSERT_EQ(cache.stats().preloaded, fresh.jobs.size());
+        opts.cache = &cache;
+        const CampaignRun run = CampaignExecutor(opts).run(spec);
+        EXPECT_EQ(run.simulated, run.jobs.size());
+        EXPECT_EQ(run.cacheHits, 0u);
+        EXPECT_EQ(cache.stats().stores, run.jobs.size());
+        EXPECT_EQ(readFile(writeCampaignCsv(
+                      run, ::testing::TempDir() + "rfl_bad_payload_a",
+                      "out")),
+                  readFile(writeCampaignCsv(
+                      fresh, ::testing::TempDir() + "rfl_bad_payload_b",
+                      "out")));
+    }
+
+    ResultCache reloaded(path);
+    opts.cache = &reloaded;
+    const CampaignRun rerun = CampaignExecutor(opts).run(spec);
+    EXPECT_EQ(rerun.cacheHits, rerun.jobs.size());
+    std::remove(path.c_str());
 }
 
 TEST(CampaignExecutor, EveryJobRunsExactlyOnce)

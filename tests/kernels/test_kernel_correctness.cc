@@ -8,10 +8,14 @@
 
 #include <cmath>
 #include <complex>
+#include <fstream>
 #include <functional>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
+
+#include <unistd.h>
 
 #include <gtest/gtest.h>
 
@@ -283,6 +287,60 @@ TEST(RegistryDeath, UnknownKernelIsFatal)
                 "unknown kernel");
     EXPECT_EXIT(createKernel("daxpy:n"), ::testing::ExitedWithCode(1),
                 "bad parameter");
+}
+
+TEST(RegistryDeath, BadParametersAreFatalAndNameTheParameter)
+{
+    // Each spec is rejected before anything is allocated: a lenient
+    // reading would wrap "-1" to 2^64-1, read "12abc" as 12, drop an
+    // unknown key, let the last duplicate win, or wrap the footprint.
+    const std::pair<const char *, const char *> cases[] = {
+        {"sum:n=-1", "n='-1' is not a decimal number"},
+        {"daxpy:n=0", "n=0 is out of range"},
+        {"stencil3:n=8", "n=8 is out of range"},
+        {"spmv-csr:rows=4,nnz=8", "nnz <= rows"},
+        {"daxpy:size=8", "unknown parameter 'size'"},
+        {"triad:n=12abc", "n='12abc' is not a decimal number"},
+        {"dgemm-opt:n=64,n=96", "'n' given twice"},
+        {"dgemm-opt:n=4294967296", "n=4294967296 is out of range"},
+        {"sum:n=99999999999999999999", "is out of range"},
+        {"daxpy:n=", "n has no value"},
+        {"daxpy:", "bad parameter ''"},
+        {"fft:n=1000", "power of two"},
+    };
+    for (const auto &[spec, message] : cases)
+        EXPECT_EXIT(createKernel(spec), ::testing::ExitedWithCode(1),
+                    message)
+            << spec;
+}
+
+TEST(Registry, ConstructionAllocatesNothing)
+{
+    // 8 TiB of operands: construction only records the size (the
+    // campaign's footprint limit is what rejects it).
+    const std::unique_ptr<Kernel> huge =
+        createKernel("sum:n=1099511627776");
+    EXPECT_EQ(huge->workingSetBytes(), size_t{8} << 40);
+
+    // triad:n=16777216 holds 384 MiB of operands. Construction must
+    // leave the resident set alone; init() then commits the memory.
+    const auto rss = [] {
+        std::ifstream statm("/proc/self/statm");
+        size_t pages = 0, resident = 0;
+        statm >> pages >> resident;
+        return resident * static_cast<size_t>(sysconf(_SC_PAGESIZE));
+    };
+    const size_t before = rss();
+    ASSERT_GT(before, 0u);
+    const std::unique_ptr<Kernel> triad = createKernel("triad:n=16777216");
+    EXPECT_EQ(triad->workingSetBytes(), size_t{384} << 20);
+    EXPECT_LT(rss(), before + (size_t{16} << 20));
+
+    // The probe is sensitive: a 48 MiB kernel's init() shows up.
+    const std::unique_ptr<Kernel> small = createKernel("triad:n=2097152");
+    const size_t constructed = rss();
+    small->init(1);
+    EXPECT_GT(rss(), constructed + (size_t{40} << 20));
 }
 
 TEST(Partition, CoversRangeExactlyOnce)

@@ -214,6 +214,27 @@ TEST_F(HttpServiceTest, OverDeepEnvelopeIsRejectedAndServerSurvives)
     EXPECT_EQ(resp.status, 200);
 }
 
+TEST_F(HttpServiceTest, BadKernelParametersAnswer400AndServerSurvives)
+{
+    HttpClient client("127.0.0.1", server_->port());
+    ClientResponse resp;
+
+    // A bad kernel parameter is the client's error: a 400 naming it,
+    // never a crash of the daemon.
+    for (const char *kernel : {"sum:n=-1", "daxpy:n=0"}) {
+        const std::string body = std::string("machine = small\nkernel = ") +
+                                 kernel +
+                                 "\nvariant = v: protocol=cold cores=0\n";
+        ASSERT_TRUE(client.request("POST", "/v1/campaigns", &resp, body));
+        EXPECT_EQ(resp.status, 400) << kernel << ": " << resp.body;
+        EXPECT_NE(resp.body.find("n="), std::string::npos)
+            << "the error names the parameter: " << resp.body;
+    }
+
+    ASSERT_TRUE(client.request("GET", "/healthz", &resp));
+    EXPECT_EQ(resp.status, 200);
+}
+
 TEST_F(HttpServiceTest, ArtifactEndpointsByteMatchOfflineCli)
 {
     HttpClient client("127.0.0.1", server_->port());

@@ -5,8 +5,10 @@
  */
 
 #include <chrono>
+#include <iterator>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -40,8 +42,31 @@ TEST(ServiceJobQueue, InvalidSpecRejectedWithoutExecution)
     EXPECT_EQ(unknown.kind, SubmitOutcome::Kind::Invalid);
     EXPECT_FALSE(unknown.error.empty());
 
+    // Bad parameters are rejected by the registry before anything is
+    // allocated; each error names what is wrong.
+    const std::pair<const char *, const char *> bad_kernels[] = {
+        {"sum:n=-1", "not a decimal number"},
+        {"daxpy:n=0", "out of range"},
+        {"stencil3:n=8", "out of range"},
+        {"spmv-csr:rows=4,nnz=8", "nnz <= rows"},
+        {"daxpy:size=8", "unknown parameter 'size'"},
+        {"triad:n=12abc", "not a decimal number"},
+        {"dgemm-opt:n=64,n=96", "given twice"},
+        {"sum:n=1099511627776", "physical memory"},
+        {"dgemm-opt:n=4294967296", "out of range"},
+    };
+    for (const auto &[kernel, why] : bad_kernels) {
+        const SubmitOutcome o =
+            queue.submit(std::string("machine = small\nkernel = ") +
+                         kernel +
+                         "\nvariant = v: protocol=cold cores=0 reps=1\n");
+        EXPECT_EQ(o.kind, SubmitOutcome::Kind::Invalid) << kernel;
+        EXPECT_NE(o.error.find(why), std::string::npos)
+            << kernel << ": " << o.error;
+    }
+
     const JobQueueStats stats = queue.stats();
-    EXPECT_EQ(stats.rejectedInvalid, 2u);
+    EXPECT_EQ(stats.rejectedInvalid, 2u + std::size(bad_kernels));
     EXPECT_EQ(stats.executed, 0u);
 }
 

@@ -107,6 +107,17 @@ TEST(AlignedBuffer, EmptyBuffer)
     EXPECT_TRUE(buf.empty());
 }
 
+TEST(AlignedBuffer, ByteCountOverflowThrowsBadAlloc)
+{
+    // 2^61 doubles is 2^64 bytes, which wraps to 0; SIZE_MAX / 8
+    // doubles fit, but rounding up to the alignment wraps.
+    AlignedBuffer<double> buf(4);
+    EXPECT_THROW(buf.reset(size_t{1} << 61), std::bad_alloc);
+    EXPECT_TRUE(buf.empty());
+    EXPECT_THROW(buf.reset(SIZE_MAX / sizeof(double)), std::bad_alloc);
+    EXPECT_TRUE(buf.empty());
+}
+
 TEST(Rng, DeterministicForSeed)
 {
     Rng a(123), b(123), c(124);

@@ -24,9 +24,9 @@ trap 'kill "$SERVE_PID" 2>/dev/null || true; rm -rf "$WORK"' EXIT
 # Deterministic chaos: probabilistic failpoints draw from per-name
 # streams seeded by the name, so this exact schedule reproduces.
 #   cache.spill.append  first two evaluations fail -> exercised retry
-#   job.simulate        every simulate stage stalls 200 ms; campaign A
-#                       needs >= 400 ms of stalls (ceiling before
-#                       measures), so its 0.3 s budget must blow
+#   job.simulate        every simulate stage stalls 200 ms; campaign A's
+#                       0.1 s budget is shorter than one stall, so it
+#                       must blow even though its jobs run in parallel
 #   api.stream          first artifact fetch fails -> clean 503
 #   http.recv           10% of requests die mid-read
 #   http.accept         5% of connections dropped at accept
@@ -83,12 +83,13 @@ status_of() { # status_of <url> -> HTTP status code (retries transport)
 req "$BASE/healthz" | grep -q '"status":"ok"'
 
 # Campaign A: a whole-run budget the injected simulate stalls are
-# guaranteed to blow (two dependent 200 ms stalls > 0.3 s).
+# guaranteed to blow (each job's 200 ms stall > 0.1 s; measure jobs
+# run beside the ceiling probe, so stalls do not add up).
 SPEC_TIMEOUT='name = chaos-timeout
 machine = small
 kernel = daxpy:n=4096
 kernel = sum:n=4096
-timeout = 0.3
+timeout = 0.1
 variant = cold-1c: protocol=cold cores=0 reps=1'
 
 # Campaign B: same shape, no budget — must complete despite the same
