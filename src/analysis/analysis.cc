@@ -55,12 +55,8 @@ scenarioFromJson(const Json &j)
     Scenario s;
     s.machine = j.at("machine").asString();
     s.variant = j.at("variant").asString();
-    for (const Json &c : j.at("compute_ceilings").asArray())
-        s.model.addComputeCeiling(c.at("name").asString(),
-                                  c.at("value").asNumber());
-    for (const Json &c : j.at("bandwidth_ceilings").asArray())
-        s.model.addBandwidthCeiling(c.at("name").asString(),
-                                    c.at("value").asNumber());
+    s.model = campaign::modelFromJson(j.at("compute_ceilings"),
+                                      j.at("bandwidth_ceilings"));
     return s;
 }
 

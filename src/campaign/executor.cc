@@ -15,6 +15,7 @@
 #include "pmu/perf_backend.hh"
 #include "roofline/experiment.hh"
 #include "roofline/native_measurement.hh"
+#include "roofline/platform.hh"
 #include "support/address_arena.hh"
 #include "support/cancel.hh"
 #include "support/failpoint.hh"
@@ -211,7 +212,8 @@ traceFileValid(const TraceInfo &info)
 
 /** Execute one job (cache lookup, else simulate + store).
  *  @p results carries completed dependencies (a replay reads its
- *  recording's file path from them). */
+ *  recording's file path from them, a ceiling fold its probes'
+ *  results). */
 JobResult
 executeJob(const CampaignSpec &spec, const Job &job,
            const std::vector<JobResult> &results,
@@ -270,19 +272,43 @@ executeJob(const CampaignSpec &spec, const Job &job,
 
     switch (job.kind) {
       case JobKind::Ceiling: {
-        std::optional<roofline::Experiment> exp;
-        stageGate("job.machine-build", "machine-build");
-        {
-            StageSpan build("machine-build");
-            exp.emplace(machine.config);
-            exp->machine().setMemPolicy(opts.memPolicy);
-            exp->machine().setPrefetchEnabled(opts.prefetchEnabled);
-        }
-        stageGate("job.simulate", "simulate");
-        {
+        if (job.ceilingPart != CeilingPart::Fold) {
+            // A probe runs on a machine of its own and stores nothing:
+            // its fold stores the whole model.
+            std::optional<sim::Machine> sim_machine;
+            stageGate("job.machine-build", "machine-build");
+            {
+                StageSpan build("machine-build");
+                sim_machine.emplace(machine.config);
+                sim_machine->setMemPolicy(opts.memPolicy);
+                sim_machine->setPrefetchEnabled(opts.prefetchEnabled);
+            }
+            roofline::PlatformProbe probe(*sim_machine);
+            stageGate("job.simulate", "simulate");
             StageSpan sim("simulate");
-            result.model =
-                exp->probe().characterize(opts.measure.cores);
+            if (job.ceilingPart == CeilingPart::Compute)
+                result.model = probe.computeCeilings(opts.measure.cores);
+            else
+                result.bandwidth =
+                    probe.bandwidthPeak(opts.measure.cores, job.flavor);
+            break;
+        }
+        // deps = {compute probe, bandwidth probes in allBwProbes()
+        // order}, all complete. A probe answered from the cache decoded
+        // the whole model: that happens only when the entry vanished
+        // between its lookup and this one (ResultCache::compact), and
+        // then that model is the answer.
+        const auto cached =
+            std::find_if(job.deps.begin(), job.deps.end(),
+                         [&](size_t dep) { return results[dep].fromCache; });
+        if (cached != job.deps.end()) {
+            result.model = results[*cached].model;
+        } else {
+            std::vector<roofline::BandwidthResult> bandwidth;
+            for (size_t i = 1; i < job.deps.size(); ++i)
+                bandwidth.push_back(results[job.deps[i]].bandwidth);
+            result.model = roofline::foldCeilings(
+                results[job.deps.front()].model, bandwidth);
         }
         if (cache) {
             stageGate("job.encode", "encode");
@@ -567,15 +593,14 @@ CampaignExecutor::run(const CampaignSpec &spec,
     RunState state;
     state.remainingDeps.resize(run.jobs.size());
     state.dependents.resize(run.jobs.size());
-    // Only data deps gate execution: a trace replay reads its
-    // recording's file, a duplicate native job replays the first one's
-    // cache entry. A job's edge to its Ceiling job is a result link —
-    // no job reads the model while it runs; modelFor() and the analysis
-    // follow it after run() returns — so it does not hold the job back.
+    // Only data deps gate execution: a ceiling fold reads its probes'
+    // results, a trace replay its recording's file, and a duplicate
+    // native job replays the first one's cache entry. A job's edge to
+    // its ceiling fold is a result link — no job reads the model while
+    // it runs; modelFor() and the analysis follow it after run()
+    // returns — so it does not hold the job back.
     for (const Job &job : run.jobs) {
-        for (size_t dep : job.deps) {
-            if (run.jobs[dep].kind == JobKind::Ceiling)
-                continue;
+        for (size_t dep : job.dataDeps()) {
             ++state.remainingDeps[job.id];
             state.dependents[dep].push_back(job.id);
         }

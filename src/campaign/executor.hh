@@ -9,10 +9,12 @@
  * aggregated results identical for any thread count.
  *
  * Scheduling: jobs whose data deps are satisfied are submitted to the
- * ThreadPool (a job's link to its Ceiling job is not waited for; see
+ * ThreadPool (a job's link to its ceiling fold is not waited for; see
  * job_graph.hh); completing a job decrements its dependents' counters and
- * submits the newly-ready ones. Before simulating, each job consults the
- * ResultCache; a hit skips simulation entirely.
+ * submits the newly-ready ones. A ceiling's six probes are ordinary pool
+ * jobs, so they run beside each other and beside the sweeps; the fold
+ * runs once the last of them finishes. Before simulating, each job
+ * consults the ResultCache; a hit skips simulation entirely.
  */
 
 #ifndef RFL_CAMPAIGN_EXECUTOR_HH
@@ -29,6 +31,7 @@
 #include "campaign/spec.hh"
 #include "roofline/measurement.hh"
 #include "roofline/model.hh"
+#include "roofline/platform.hh"
 #include "telemetry/resource.hh"
 #include "telemetry/span.hh"
 
@@ -69,8 +72,11 @@ struct JobResult
     bool fromCache = false;
     /** Filled for Measure and TraceReplay jobs. */
     roofline::Measurement measurement;
-    /** Filled for Ceiling jobs. */
+    /** Filled for ceiling folds (the model) and compute probes (the
+     *  compute roofs only). */
     roofline::RooflineModel model;
+    /** Filled for bandwidth probes. */
+    roofline::BandwidthResult bandwidth;
     /** Filled for TraceRecord jobs (path + stream summary). */
     TraceInfo trace;
     /** Filled for PhaseSample jobs. */

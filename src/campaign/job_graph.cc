@@ -1,5 +1,6 @@
 #include "campaign/job_graph.hh"
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <map>
@@ -46,6 +47,14 @@ jobKindName(JobKind kind)
     return "?";
 }
 
+std::vector<size_t>
+Job::dataDeps() const
+{
+    if (kind == JobKind::Ceiling || deps.empty())
+        return deps;
+    return {deps.begin() + 1, deps.end()};
+}
+
 std::string
 Job::describe(const CampaignSpec &spec) const
 {
@@ -54,6 +63,11 @@ Job::describe(const CampaignSpec &spec) const
         << spec.machines()[machineIndex].label;
     if (kind != JobKind::TraceRecord)
         out << " variant=" << spec.variants()[variantIndex].label;
+    if (kind == JobKind::Ceiling && ceilingPart != CeilingPart::Fold)
+        out << " probe="
+            << (ceilingPart == CeilingPart::Compute
+                    ? "compute"
+                    : roofline::bwProbeName(flavor));
     if (kind == JobKind::Measure || kind == JobKind::NativeMeasure)
         out << " kernel=" << spec.kernels()[kernelIndex];
     else if (kind == JobKind::TraceRecord ||
@@ -183,7 +197,7 @@ JobGraph::expand(const CampaignSpec &spec)
     // (machine, ceiling signature) -> ceiling job id.
     std::map<std::pair<size_t, std::string>, size_t> ceilings;
 
-    // Ceiling jobs first, in spec order, so job ids are deterministic.
+    // Ceiling folds first, in spec order, so job ids are deterministic.
     for (size_t mi = 0; mi < spec.machines().size(); ++mi) {
         for (size_t vi = 0; vi < spec.variants().size(); ++vi) {
             const Variant &v = spec.variants()[vi];
@@ -202,7 +216,7 @@ JobGraph::expand(const CampaignSpec &spec)
             graph.jobs_.push_back(std::move(job));
         }
     }
-    graph.ceilingJobs_ = graph.jobs_.size();
+    const size_t folds = graph.jobs_.size();
 
     // Measure jobs: machines x kernels x variants, each linking its
     // scenario's ceiling job. Skipped when the spec selects hardware
@@ -293,6 +307,38 @@ JobGraph::expand(const CampaignSpec &spec)
             }
         }
     }
+
+    // Ceiling probes after every other sim job, longest first (see
+    // file comment), each flavor across all folds before the next.
+    // Each fold lists its compute probe first, then its bandwidth
+    // probes in allBwProbes() order: the order foldCeilings() takes.
+    const std::vector<roofline::BwProbe> flavors = roofline::allBwProbes();
+    const size_t firstProbe = graph.jobs_.size();
+    for (size_t fold = 0; fold < folds; ++fold)
+        graph.jobs_[fold].deps.resize(1 + flavors.size());
+    const auto addProbe = [&](CeilingPart part, roofline::BwProbe flavor,
+                              size_t slot) {
+        for (size_t fold = 0; fold < folds; ++fold) {
+            Job job = graph.jobs_[fold];
+            job.id = graph.jobs_.size();
+            job.ceilingPart = part;
+            job.flavor = flavor;
+            job.deps.clear();
+            graph.jobs_[fold].deps[slot] = job.id;
+            graph.jobs_.push_back(std::move(job));
+        }
+    };
+    for (roofline::BwProbe flavor :
+         {roofline::BwProbe::Triad, roofline::BwProbe::Scale,
+          roofline::BwProbe::Copy, roofline::BwProbe::Read,
+          roofline::BwProbe::NtSet}) {
+        const size_t slot = static_cast<size_t>(
+            std::find(flavors.begin(), flavors.end(), flavor) -
+            flavors.begin());
+        addProbe(CeilingPart::Bandwidth, flavor, 1 + slot);
+    }
+    addProbe(CeilingPart::Compute, roofline::BwProbe::Read, 0);
+    graph.ceilingJobs_ = folds + graph.jobs_.size() - firstProbe;
 
     // NativeMeasure jobs last (backend = perf): machines x kernels x
     // variants, appended after every sim job so sim job ids — and with

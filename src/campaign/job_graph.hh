@@ -5,8 +5,15 @@
  * Six job kinds:
  *   - Ceiling: characterize the roofline ceilings of one machine under
  *     one scenario signature (core set, NUMA policy, prefetch enable).
- *     One per distinct signature per machine, however many variants
- *     share it.
+ *     Each distinct signature per machine, however many variants share
+ *     it, becomes seven Ceiling jobs: six probes and one fold (see
+ *     Job::ceilingPart). One probe measures the compute roofs and one
+ *     each bandwidth flavor of roofline::allBwProbes(), every probe on
+ *     its own sim::Machine. The fold depends on all six, combines them
+ *     with roofline::foldCeilings() into the model, and is the only
+ *     one to store it. All seven share the ceiling's cache key and
+ *     decode a cached entry the same way, so a valid entry answers all
+ *     of them and a stale one makes all of them recompute.
  *   - Measure: run one kernel under one variant on one machine.
  *   - TraceRecord: record one traced kernel's access stream on one
  *     machine into a content-addressed trace file. One per (machine,
@@ -26,20 +33,26 @@
  *     host-identity key (cpu model + flags + RFL_PERF_EVENTS hash):
  *     hardware rows are not reproducible from MachineConfig alone.
  *
- * Every non-ceiling job except TraceRecord lists its machine's Ceiling
- * job for the variant's signature as its first dep, so a config is
- * characterized exactly once however many variants share it. That
- * first dep is a result link, not a scheduling edge: no job reads the
- * model while it runs, so the executor starts each job without waiting
- * for its ceiling, and the sinks and the analysis follow the link to
- * plot each measurement against its model once the run has finished.
- * The remaining deps are data deps the executor does wait for: a
- * replay's recording, and a duplicate native job's first twin.
+ * Every non-ceiling job except TraceRecord lists its machine's
+ * ceiling fold for the variant's signature as its first dep, so a
+ * config is characterized exactly once however many variants share
+ * it. That first dep is a result link, not a scheduling edge: no job
+ * reads the model while it runs, so the executor starts each job
+ * without waiting for its ceiling, and the sinks and the analysis
+ * follow the link to plot each measurement against its model once the
+ * run has finished. The remaining deps (Job::dataDeps()) are data deps
+ * the executor does wait for: a fold's probes, a replay's recording,
+ * and a duplicate native job's first twin.
  *
- * Jobs are numbered in deterministic spec order (ceilings, then
- * machines x kernels x variants, then trace records, then trace
- * replays), which is also the aggregation order; the executor may
- * *complete* them in any order without affecting artifacts.
+ * Jobs are numbered in deterministic spec order: ceiling folds, then
+ * machines x kernels x variants, then trace records, trace replays and
+ * phase samples, then the ceiling probes, then native measurements.
+ * That is also the aggregation order; the executor may *complete* jobs
+ * in any order without affecting artifacts. The executor's pool is
+ * FIFO, so the order is also the start order of the ready jobs. Probes
+ * therefore come after the measure jobs, whose length the pool cannot
+ * know, and longest first (triad, scale, copy, read, nt-set, then the
+ * compute roofs), so the short probes fill the tail of the run.
  */
 
 #ifndef RFL_CAMPAIGN_JOB_GRAPH_HH
@@ -50,6 +63,7 @@
 #include <vector>
 
 #include "campaign/spec.hh"
+#include "roofline/platform.hh"
 
 namespace rfl::campaign
 {
@@ -69,6 +83,14 @@ enum class JobKind
  *  "phase" or "native-measure". */
 const char *jobKindName(JobKind kind);
 
+/** What a Ceiling job contributes to its scenario's model. */
+enum class CeilingPart
+{
+    Fold,      ///< folds the six probes below into the model
+    Compute,   ///< probe: the compute roofs
+    Bandwidth, ///< probe: one bandwidth flavor (Job::flavor)
+};
+
 /** One schedulable unit. */
 struct Job
 {
@@ -80,13 +102,21 @@ struct Job
     /** Kernel index (Measure), traces() index (TraceRecord/Replay), or
      *  phases() index (PhaseSample). */
     size_t kernelIndex = 0;
+    /** Ceiling jobs: the fold or one of its probes. */
+    CeilingPart ceilingPart = CeilingPart::Fold;
+    /** Bandwidth probes: the flavor measured. */
+    roofline::BwProbe flavor = roofline::BwProbe::Read;
     /** Content-addressed cache key (see result_cache.hh). */
     std::string cacheKey;
-    /** Related job ids. deps.front() is the job's Ceiling job for
-     *  every kind but Ceiling and TraceRecord (which have none) — a
-     *  result link the executor does not wait for. Every later dep
-     *  must complete before this job starts (see file comment). */
+    /** Related job ids. deps.front() is the job's ceiling fold for
+     *  every kind but Ceiling and TraceRecord — a result link the
+     *  executor does not wait for. A fold's deps are its compute probe,
+     *  then its bandwidth probes in allBwProbes() order. */
     std::vector<size_t> deps;
+
+    /** @return the deps that must complete before this job starts:
+     *  all of them but the ceiling link (see file comment). */
+    std::vector<size_t> dataDeps() const;
 
     /** Human-readable description for logs and error messages. */
     std::string describe(const CampaignSpec &spec) const;
@@ -101,11 +131,12 @@ class JobGraph
 
     const std::vector<Job> &jobs() const { return jobs_; }
     size_t size() const { return jobs_.size(); }
+    /** Ceiling jobs: folds and probes alike. */
     size_t ceilingJobs() const { return ceilingJobs_; }
     size_t measureJobs() const { return jobs_.size() - ceilingJobs_; }
 
     /**
-     * @return the ceiling job id whose model covers @p job (itself for
+     * @return the ceiling fold whose model covers @p job (itself for
      * Ceiling jobs).
      */
     size_t ceilingJobFor(const Job &job) const;

@@ -1,5 +1,6 @@
 #include "campaign/serialize.hh"
 
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 
@@ -105,18 +106,38 @@ encodeModel(const roofline::RooflineModel &model)
     return j.dump();
 }
 
+namespace
+{
+
+/** @return a ceiling's value; JsonError unless finite and > 0. */
+double
+ceilingValue(const Json &c)
+{
+    const double v = c.at("value").asNumber();
+    if (!(std::isfinite(v) && v > 0.0))
+        throw JsonError("ceiling value not finite and > 0");
+    return v;
+}
+
+} // namespace
+
+roofline::RooflineModel
+modelFromJson(const Json &compute, const Json &bandwidth)
+{
+    roofline::RooflineModel model;
+    for (const Json &c : compute.asArray())
+        model.addComputeCeiling(c.at("name").asString(), ceilingValue(c));
+    for (const Json &c : bandwidth.asArray())
+        model.addBandwidthCeiling(c.at("name").asString(),
+                                  ceilingValue(c));
+    return model;
+}
+
 roofline::RooflineModel
 decodeModel(const std::string &payload)
 {
     const Json j = Json::parse(payload);
-    roofline::RooflineModel model;
-    for (const Json &c : j.at("compute").asArray())
-        model.addComputeCeiling(c.at("name").asString(),
-                                c.at("value").asNumber());
-    for (const Json &c : j.at("bandwidth").asArray())
-        model.addBandwidthCeiling(c.at("name").asString(),
-                                  c.at("value").asNumber());
-    return model;
+    return modelFromJson(j.at("compute"), j.at("bandwidth"));
 }
 
 namespace

@@ -42,10 +42,16 @@ roofline::Measurement decodeMeasurement(const std::string &payload);
  *  analysis.json share this shape. */
 Json ceilingsToJson(const std::vector<roofline::Ceiling> &ceilings);
 
+/** Model of two ceilingsToJson() arrays; JsonError on a ceiling value
+ *  that is not finite and > 0, which the model cannot hold. */
+roofline::RooflineModel modelFromJson(const Json &compute,
+                                      const Json &bandwidth);
+
 /** Encode a roofline model (its named ceilings) as one-line JSON. */
 std::string encodeModel(const roofline::RooflineModel &model);
 
-/** Decode a roofline model; fatal() on malformed payload. */
+/** Decode a roofline model; JsonError on a payload of another shape
+ *  or with a ceiling value modelFromJson() rejects. */
 roofline::RooflineModel decodeModel(const std::string &payload);
 
 /** Outcome of a trace-record job (persisted in the result cache). */

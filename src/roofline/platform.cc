@@ -1,6 +1,7 @@
 #include "roofline/platform.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "kernels/engine.hh"
 #include "kernels/kernel.hh"
@@ -100,10 +101,6 @@ PlatformProbe::bandwidthPeak(const std::vector<int> &cores, BwProbe probe,
     AlignedBuffer<double> a(buf_doubles);
     AlignedBuffer<double> b(probe == BwProbe::NtSet ? 0 : buf_doubles);
     AlignedBuffer<double> c(probe == BwProbe::Triad ? buf_doubles : 0);
-    for (size_t i = 0; i < b.size(); ++i)
-        b[i] = static_cast<double>(i % 1024) * 1e-3;
-    for (size_t i = 0; i < c.size(); ++i)
-        c[i] = static_cast<double>(i % 512) * 1e-3;
 
     machine_.reset();
     machine_.flushAllCaches();
@@ -172,7 +169,7 @@ PlatformProbe::bandwidthPeak(const std::vector<int> &cores, BwProbe probe,
 }
 
 RooflineModel
-PlatformProbe::characterize(const std::vector<int> &cores)
+PlatformProbe::computeCeilings(const std::vector<int> &cores)
 {
     const sim::CoreConfig &cc = machine_.config().core;
     RooflineModel model;
@@ -201,25 +198,39 @@ PlatformProbe::characterize(const std::vector<int> &cores)
                                     computePeak(cores, w, true));
         }
     }
+    return model;
+}
 
-    // One pass over every flavor: Read comes first, so it is both the
-    // "read" ceiling and the initial best; a later flavor must beat it
-    // strictly to become the best-streaming ceiling.
-    BandwidthResult read;
-    BandwidthResult best;
-    for (BwProbe probe : allBwProbes()) {
-        const BandwidthResult r = bandwidthPeak(cores, probe);
-        if (probe == BwProbe::Read)
-            read = r;
+RooflineModel
+PlatformProbe::characterize(const std::vector<int> &cores)
+{
+    RooflineModel model = computeCeilings(cores);
+    std::vector<BandwidthResult> flavors;
+    for (BwProbe probe : allBwProbes())
+        flavors.push_back(bandwidthPeak(cores, probe));
+    return foldCeilings(std::move(model), flavors);
+}
+
+RooflineModel
+foldCeilings(RooflineModel compute,
+             const std::vector<BandwidthResult> &flavors)
+{
+    RFL_ASSERT(flavors.size() == allBwProbes().size());
+    // Read comes first, so it is both the "read" ceiling and the
+    // initial best; a later flavor must beat it strictly to become the
+    // best-streaming ceiling.
+    const BandwidthResult &read = flavors.front();
+    RFL_ASSERT(read.probe == BwProbe::Read);
+    BandwidthResult best = read;
+    for (const BandwidthResult &r : flavors)
         if (r.bytesPerSec > best.bytesPerSec)
             best = r;
-    }
-    model.addBandwidthCeiling("read", read.bytesPerSec);
+    compute.addBandwidthCeiling("read", read.bytesPerSec);
     if (best.probe != BwProbe::Read) {
-        model.addBandwidthCeiling(std::string(bwProbeName(best.probe)),
-                                  best.bytesPerSec);
+        compute.addBandwidthCeiling(std::string(bwProbeName(best.probe)),
+                                    best.bytesPerSec);
     }
-    return model;
+    return compute;
 }
 
 std::vector<int>

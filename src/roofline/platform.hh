@@ -11,6 +11,15 @@
  *     (read / copy / scale / triad / nt-set) over a buffer twice the
  *     total LLC, with traffic read from the IMC counters, so the beta used
  *     for the roof is consistent with the Q used for kernel points.
+ *
+ * characterize() is two halves: computeCeilings(), then foldCeilings()
+ * over one bandwidthPeak() per flavor. Every probe resets the machine,
+ * flushes its caches and clears its counters first, and gets canonical
+ * addresses from its own AddressArena scope, so no probe depends on
+ * another: each may run on its own machine, in any order or at once,
+ * and the fold yields the same model bit for bit. The campaign
+ * executor runs them that way, one job per probe (see
+ * campaign/job_graph.hh).
  */
 
 #ifndef RFL_ROOFLINE_PLATFORM_HH
@@ -69,16 +78,22 @@ class PlatformProbe
 
     /**
      * Measured peak bandwidth for one probe flavor over @p buf_doubles
-     * doubles (0 = 2x the total LLC capacity). Cold caches.
+     * doubles (0 = 2x the total LLC capacity). Cold caches. Operands
+     * the flavor only reads are left zero: simulated counters depend
+     * on addresses, not values, and untouched pages cost no memory.
      */
     BandwidthResult bandwidthPeak(const std::vector<int> &cores,
                                   BwProbe probe, size_t buf_doubles = 0);
 
     /**
-     * Standard ceiling set for a scenario: compute ceilings for scalar and
-     * full width (each x FMA when available), bandwidth ceilings
-     * for read and best-streaming (the fastest of allBwProbes(), earliest
-     * on a tie; omitted when that is read). Each probe flavor runs once.
+     * Compute half of characterize(): ceilings for scalar and full
+     * width, each x FMA when available.
+     */
+    RooflineModel computeCeilings(const std::vector<int> &cores);
+
+    /**
+     * Standard ceiling set for a scenario: computeCeilings(), then
+     * foldCeilings() over one bandwidthPeak() per allBwProbes() flavor.
      */
     RooflineModel characterize(const std::vector<int> &cores);
 
@@ -88,6 +103,15 @@ class PlatformProbe
     sim::Machine &machine_;
     pmu::SimBackend backend_;
 };
+
+/**
+ * Bandwidth half of characterize(): @p compute plus a "read" ceiling
+ * and a best-streaming one, the fastest of @p flavors (one result per
+ * allBwProbes() flavor, in that order; the earliest wins a tie, and
+ * the ceiling is omitted when that is read).
+ */
+RooflineModel foldCeilings(RooflineModel compute,
+                           const std::vector<BandwidthResult> &flavors);
 
 /** @return {0}: the single-thread scenario of the paper. */
 std::vector<int> singleThreadCores(const sim::Machine &machine);

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
+#include <type_traits>
 #include <utility>
 
 #include "support/address_arena.hh"
@@ -26,11 +27,17 @@ namespace rfl
  * Owning, cache-line (64 B) aligned array of T.
  *
  * Move-only; the allocation is zero-initialized so cold-cache protocols
- * start from a deterministic memory image.
+ * start from a deterministic memory image. The zeros come from calloc,
+ * which hands out fresh pages without writing them: a large buffer
+ * costs no resident memory until it is written, and an operand that is
+ * only read stays on the kernel's shared zero page.
  */
 template <typename T>
 class AlignedBuffer
 {
+    // All-zero bytes are T{} only for arithmetic types.
+    static_assert(std::is_arithmetic_v<T>);
+
   public:
     static constexpr size_t alignment = 64;
 
@@ -43,7 +50,8 @@ class AlignedBuffer
     AlignedBuffer &operator=(const AlignedBuffer &) = delete;
 
     AlignedBuffer(AlignedBuffer &&other) noexcept
-        : data_(std::exchange(other.data_, nullptr)),
+        : raw_(std::exchange(other.raw_, nullptr)),
+          data_(std::exchange(other.data_, nullptr)),
           size_(std::exchange(other.size_, 0))
     {}
 
@@ -52,6 +60,7 @@ class AlignedBuffer
     {
         if (this != &other) {
             release();
+            raw_ = std::exchange(other.raw_, nullptr);
             data_ = std::exchange(other.data_, nullptr);
             size_ = std::exchange(other.size_, 0);
         }
@@ -63,7 +72,7 @@ class AlignedBuffer
     /**
      * Re-allocate to @p n zero-initialized elements; throws
      * std::bad_alloc when n * sizeof(T), rounded up to the alignment,
-     * does not fit in size_t.
+     * plus the alignment slack, does not fit in size_t.
      */
     void
     reset(size_t n)
@@ -71,22 +80,25 @@ class AlignedBuffer
         release();
         if (n == 0)
             return;
-        if (n > (SIZE_MAX - alignment) / sizeof(T))
+        if (n > (SIZE_MAX - 2 * alignment) / sizeof(T))
             throw std::bad_alloc();
-        size_t bytes = n * sizeof(T);
-        // aligned_alloc requires the size to be a multiple of the alignment.
-        bytes = (bytes + alignment - 1) / alignment * alignment;
-        void *p = std::aligned_alloc(alignment, bytes);
-        if (!p)
+        // Whole lines, so the buffer never shares its last line.
+        const size_t bytes =
+            (n * sizeof(T) + alignment - 1) / alignment * alignment;
+        // calloc has no aligned variant: over-allocate by one line and
+        // round the start up to the next line boundary.
+        raw_ = std::calloc(1, bytes + alignment);
+        if (!raw_)
             throw std::bad_alloc();
-        data_ = static_cast<T *>(p);
+        const uintptr_t start =
+            (reinterpret_cast<uintptr_t>(raw_) + alignment - 1) /
+            alignment * alignment;
+        data_ = reinterpret_cast<T *>(start);
         size_ = n;
-        for (size_t i = 0; i < n; ++i)
-            data_[i] = T{};
         // Give the buffer a canonical simulated address when a
         // measurement scope is active (see support/address_arena.hh).
         if (AddressArena *arena = AddressArena::current())
-            arena->registerRegion(p, bytes);
+            arena->registerRegion(data_, bytes);
     }
 
     T *data() { return data_; }
@@ -107,11 +119,13 @@ class AlignedBuffer
     void
     release()
     {
-        std::free(data_);
+        std::free(raw_);
+        raw_ = nullptr;
         data_ = nullptr;
         size_ = 0;
     }
 
+    void *raw_ = nullptr; ///< what calloc returned; data_ is aligned
     T *data_ = nullptr;
     size_t size_ = 0;
 };

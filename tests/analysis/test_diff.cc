@@ -59,8 +59,9 @@ TEST(AnalysisDiff, IdenticalDocumentsPass)
 
 TEST(AnalysisDecode, WrongShapeThrowsJsonError)
 {
-    // A member of the wrong type or a missing one must be catchable:
-    // roofline_report --diff turns JsonError into exit status 2.
+    // A member of the wrong type, a missing one or a ceiling value the
+    // model rejects must be catchable: roofline_report --diff turns
+    // JsonError into exit status 2.
     const std::string text = encodeAnalysis(baseDoc());
     std::string bad = text;
     const std::string member = "\"kernel\":\"triad\"";
@@ -73,6 +74,15 @@ TEST(AnalysisDecode, WrongShapeThrowsJsonError)
     missing.replace(missing.find("\"size\":"), 6, "\"sise\"");
     EXPECT_THROW(decodeAnalysis(missing), JsonError);
     EXPECT_THROW(decodeAnalysis("[1,2]"), JsonError);
+
+    // A zero roof has the right shape, but no model can hold it.
+    std::string zero = text;
+    const size_t ceiling = zero.find("\"value\":",
+                                     zero.find("\"compute_ceilings\""));
+    ASSERT_NE(ceiling, std::string::npos) << text;
+    const size_t end = zero.find('}', ceiling);
+    zero.replace(ceiling, end - ceiling, "\"value\":0");
+    EXPECT_THROW(decodeAnalysis(zero), JsonError);
     EXPECT_EQ(encodeAnalysis(decodeAnalysis(text)), text);
 }
 

@@ -2,7 +2,8 @@
  * @file
  * Campaign executor acceptance tests: deterministic results independent
  * of host thread count, 100% cache hits on an identical re-run, each
- * job run exactly once, and ceiling jobs that link each variant to its
+ * job run exactly once, stale cached ceilings recomputed by the fold and
+ * all six of its probes, and ceiling jobs that link each variant to its
  * model without holding back the variant's sweep.
  */
 
@@ -12,6 +13,8 @@
 #include <sstream>
 
 #include <gtest/gtest.h>
+
+#include <unistd.h>
 
 #include "campaign/executor.hh"
 #include "campaign/serialize.hh"
@@ -43,6 +46,21 @@ smallCampaign()
     warm.cores = {0, 1};
     spec.addVariant("warm-2c", warm);
     return spec;
+}
+
+/** @return whether @p job is one of a ceiling fold's six probes. */
+bool
+isProbe(const Job &job)
+{
+    return job.kind == JobKind::Ceiling &&
+           job.ceilingPart != CeilingPart::Fold;
+}
+
+size_t
+countProbes(const std::vector<Job> &jobs)
+{
+    return static_cast<size_t>(
+        std::count_if(jobs.begin(), jobs.end(), isProbe));
 }
 
 std::string
@@ -96,19 +114,23 @@ TEST(CampaignExecutor, SecondRunIsAllCacheHits)
         ::testing::TempDir() + "rfl_exec_cache.jsonl";
     std::remove(path.c_str());
 
-    // First run: everything simulated, everything stored.
+    // First run: everything simulated, everything but the ceiling
+    // probes stored (their fold stores the model they measured).
     {
         ResultCache cache(path);
         ExecutorOptions opts;
         opts.threads = 2;
         opts.cache = &cache;
         const CampaignRun run = CampaignExecutor(opts).run(spec);
+        EXPECT_EQ(countProbes(run.jobs), 12u); // 2 ceilings x 6
         EXPECT_EQ(run.simulated, run.jobs.size());
         EXPECT_EQ(run.cacheHits, 0u);
-        EXPECT_EQ(cache.stats().stores, run.jobs.size());
+        EXPECT_EQ(cache.stats().stores,
+                  run.jobs.size() - countProbes(run.jobs));
     }
 
-    // Second run against the same spill file: zero simulation.
+    // Second run against the same spill file: zero simulation; the
+    // probes are answered by their fold's entry.
     ResultCache cache(path);
     EXPECT_GT(cache.stats().preloaded, 0u);
     ExecutorOptions opts;
@@ -117,6 +139,7 @@ TEST(CampaignExecutor, SecondRunIsAllCacheHits)
     const CampaignRun rerun = CampaignExecutor(opts).run(spec);
     EXPECT_EQ(rerun.simulated, 0u);
     EXPECT_EQ(rerun.cacheHits, rerun.jobs.size());
+    EXPECT_EQ(cache.stats().stores, 0u);
 
     // And the cached results match a cache-less run byte for byte.
     const CampaignRun fresh = CampaignExecutor(ExecutorOptions{}).run(spec);
@@ -164,16 +187,15 @@ TEST(CampaignExecutor, CeilingsLinkResultsWithoutGatingTheirSweeps)
     ASSERT_EQ(run.completionOrder.size(), run.jobs.size());
 
     // completionOrder records the actual finish sequence; every data
-    // dep (a replay's recording) must appear before its dependent. The
-    // ceiling link is not a scheduling edge and is not checked here.
+    // dep (a replay's recording, a fold's probes) must appear before
+    // its dependent. The ceiling link is not a scheduling edge and is
+    // not checked here.
     std::vector<size_t> finishedAt(run.jobs.size());
     for (size_t pos = 0; pos < run.completionOrder.size(); ++pos)
         finishedAt[run.completionOrder[pos]] = pos;
     size_t dataDeps = 0;
     for (const Job &job : run.jobs) {
-        for (size_t dep : job.deps) {
-            if (run.jobs[dep].kind == JobKind::Ceiling)
-                continue;
+        for (size_t dep : job.dataDeps()) {
             ++dataDeps;
             EXPECT_LT(finishedAt[dep], finishedAt[job.id])
                 << job.describe(run.spec) << " finished before its "
@@ -190,6 +212,7 @@ TEST(CampaignExecutor, CeilingsLinkResultsWithoutGatingTheirSweeps)
         const auto ceiling = std::find_if(
             run.jobs.begin(), run.jobs.end(), [&](const Job &job) {
                 return job.kind == JobKind::Ceiling &&
+                       job.ceilingPart == CeilingPart::Fold &&
                        job.cacheKey == key;
             });
         ASSERT_NE(ceiling, run.jobs.end());
@@ -203,9 +226,9 @@ TEST(CampaignExecutor, CeilingsLinkResultsWithoutGatingTheirSweeps)
 TEST(CampaignExecutor, MeasureJobsDoNotWaitForTheirCeiling)
 {
     // Deterministic, with no timing involved: the sweep's results are
-    // all cached and its ceiling is not, and the ceiling fails at its
-    // first stage. On one worker the pool runs jobs in submit order, so
-    // the ceiling fails first; every measure job must still run and
+    // all cached and its ceiling is not, and the ceiling's probes fail
+    // at their first stage, so the fold never runs. On one worker the
+    // pool runs jobs in submit order; every measure job must run and
     // finish (answered from the cache) although its ceiling never
     // completes. Were the ceiling a scheduling edge, no measure job
     // would ever start.
@@ -249,9 +272,13 @@ TEST(CampaignExecutor, UndecodableCachedPayloadIsRecomputed)
 
     const std::string path =
         ::testing::TempDir() + "rfl_exec_bad_payload.jsonl";
+    size_t lines = 0;
     {
         std::ofstream spill(path, std::ios::trunc);
         for (const Job &job : fresh.jobs) {
+            if (isProbe(job))
+                continue; // shares its fold's key
+            ++lines;
             rfl::Json line = rfl::Json::makeObject();
             line.set("key", rfl::Json::makeString(job.cacheKey));
             line.set("payload",
@@ -266,12 +293,14 @@ TEST(CampaignExecutor, UndecodableCachedPayloadIsRecomputed)
     opts.threads = 1;
     {
         ResultCache cache(path);
-        ASSERT_EQ(cache.stats().preloaded, fresh.jobs.size());
+        ASSERT_EQ(cache.stats().preloaded, lines);
         opts.cache = &cache;
         const CampaignRun run = CampaignExecutor(opts).run(spec);
+        // The probes decode the stale model as the fold does, so all
+        // seven ceiling jobs recompute.
         EXPECT_EQ(run.simulated, run.jobs.size());
         EXPECT_EQ(run.cacheHits, 0u);
-        EXPECT_EQ(cache.stats().stores, run.jobs.size());
+        EXPECT_EQ(cache.stats().stores, lines);
         EXPECT_EQ(readFile(writeCampaignCsv(
                       run, ::testing::TempDir() + "rfl_bad_payload_a",
                       "out")),
@@ -285,6 +314,84 @@ TEST(CampaignExecutor, UndecodableCachedPayloadIsRecomputed)
     const CampaignRun rerun = CampaignExecutor(opts).run(spec);
     EXPECT_EQ(rerun.cacheHits, rerun.jobs.size());
     std::remove(path.c_str());
+}
+
+TEST(CampaignExecutor, ZeroValuedCachedCeilingIsRecomputed)
+{
+    // A cached model that decodes but holds a ceiling the model cannot
+    // (a zero roof) is stale: the fold and its probes recompute it and
+    // store the real model, instead of aborting on the zero.
+    CampaignSpec spec("zero_ceiling");
+    spec.addMachine("small", MachineConfig::smallTestMachine());
+    spec.addKernels({"daxpy:n=256"});
+    rfl::roofline::MeasureOptions cold;
+    cold.repetitions = 1;
+    spec.addVariant("cold-1c", cold);
+
+    const std::string path = ::testing::TempDir() + "rfl_exec_zero_" +
+                             std::to_string(::getpid()) + ".jsonl";
+    std::remove(path.c_str());
+    ExecutorOptions opts;
+    opts.threads = 2;
+    CampaignRun first;
+    {
+        ResultCache cache(path);
+        opts.cache = &cache;
+        first = CampaignExecutor(opts).run(spec);
+    }
+
+    // Rewrite the spill with the first compute ceiling's value zeroed.
+    std::string text = readFile(path);
+    const std::string key = ceilingCacheKey(spec.machines()[0].config,
+                                            spec.variants()[0].opts);
+    size_t zeroed = 0;
+    std::ostringstream edited;
+    std::istringstream in(text);
+    for (std::string line; std::getline(in, line);) {
+        rfl::Json entry = rfl::Json::parse(line);
+        if (entry.at("key").asString() == key) {
+            const std::string payload = entry.at("payload").dump();
+            const size_t value = payload.find("\"value\":");
+            ASSERT_NE(value, std::string::npos);
+            const size_t end = payload.find('}', value);
+            entry.set("payload",
+                      rfl::Json::parse(payload.substr(0, value) +
+                                       "\"value\":0" +
+                                       payload.substr(end)));
+            ++zeroed;
+        }
+        edited << entry.dump() << "\n";
+    }
+    ASSERT_EQ(zeroed, 1u);
+    std::ofstream(path, std::ios::trunc) << edited.str();
+
+    ResultCache cache(path);
+    opts.cache = &cache;
+    const CampaignRun rerun = CampaignExecutor(opts).run(spec);
+    EXPECT_EQ(rerun.simulated, 7u); // the fold and its six probes
+    EXPECT_EQ(rerun.cacheHits, rerun.jobs.size() - 7u);
+    EXPECT_EQ(cache.stats().stores, 1u);
+    const rfl::roofline::RooflineModel &model = rerun.modelFor(0, 0);
+    const rfl::roofline::RooflineModel &want = first.modelFor(0, 0);
+    ASSERT_EQ(model.computeCeilings().size(),
+              want.computeCeilings().size());
+    for (size_t i = 0; i < want.computeCeilings().size(); ++i)
+        EXPECT_EQ(model.computeCeilings()[i].value,
+                  want.computeCeilings()[i].value);
+    EXPECT_EQ(model.peakBandwidth(), want.peakBandwidth());
+    std::remove(path.c_str());
+}
+
+TEST(CampaignExecutor, MachineBuildFailureFailsTheRun)
+{
+    // Every job kind that builds a machine passes the machine-build
+    // seam, probes included: an injected failure there fails the run.
+    ASSERT_TRUE(rfl::failpoint::arm("job.machine-build", "throw"));
+    ExecutorOptions opts;
+    opts.threads = 2;
+    EXPECT_THROW(CampaignExecutor(opts).run(smallCampaign()),
+                 rfl::failpoint::FailpointError);
+    rfl::failpoint::disarmAll();
 }
 
 TEST(CampaignExecutor, EveryJobRunsExactlyOnce)
@@ -310,6 +417,7 @@ TEST(CampaignExecutor, EveryJobRunsExactlyOnce)
         const CampaignRun run = CampaignExecutor(opts).run(spec);
         std::vector<size_t> order = run.completionOrder;
         std::sort(order.begin(), order.end());
+        ASSERT_EQ(countProbes(run.jobs), 6u);
         std::vector<size_t> ids(run.jobs.size());
         std::iota(ids.begin(), ids.end(), size_t{0});
         ASSERT_EQ(order, ids) << "run " << rep;

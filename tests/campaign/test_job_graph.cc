@@ -2,6 +2,8 @@
 
 #include <map>
 #include <set>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -35,11 +37,11 @@ twoVariantSpec()
 TEST(JobGraph, GridExpansion)
 {
     const JobGraph graph = JobGraph::expand(twoVariantSpec());
-    // 2 distinct (cores) signatures -> 2 ceiling jobs; 3 kernels x 2
-    // variants -> 6 measure jobs.
-    EXPECT_EQ(graph.ceilingJobs(), 2u);
+    // 2 distinct (cores) signatures -> 2 ceilings of 7 jobs (a fold and
+    // its 6 probes); 3 kernels x 2 variants -> 6 measure jobs.
+    EXPECT_EQ(graph.ceilingJobs(), 14u);
     EXPECT_EQ(graph.measureJobs(), 6u);
-    EXPECT_EQ(graph.size(), 8u);
+    EXPECT_EQ(graph.size(), 20u);
 }
 
 TEST(JobGraph, CeilingJobsDeduplicateAcrossVariants)
@@ -54,7 +56,7 @@ TEST(JobGraph, CeilingJobsDeduplicateAcrossVariants)
     spec.addVariant("cold", cold).addVariant("warm", warm);
 
     const JobGraph graph = JobGraph::expand(spec);
-    EXPECT_EQ(graph.ceilingJobs(), 1u);
+    EXPECT_EQ(graph.ceilingJobs(), 7u); // one fold + its 6 probes
     EXPECT_EQ(graph.measureJobs(), 2u);
 }
 
@@ -63,15 +65,72 @@ TEST(JobGraph, MeasureJobsDependOnTheirCeiling)
     const JobGraph graph = JobGraph::expand(twoVariantSpec());
     for (const Job &job : graph.jobs()) {
         if (job.kind == JobKind::Ceiling) {
-            EXPECT_TRUE(job.deps.empty());
+            // Folds wait on their probes; probes depend on nothing.
+            EXPECT_EQ(job.deps.size(),
+                      job.ceilingPart == CeilingPart::Fold ? 6u : 0u);
+            EXPECT_EQ(job.dataDeps(), job.deps);
             continue;
         }
         ASSERT_EQ(job.deps.size(), 1u);
         const Job &dep = graph.jobs()[job.deps[0]];
         EXPECT_EQ(dep.kind, JobKind::Ceiling);
+        EXPECT_EQ(dep.ceilingPart, CeilingPart::Fold);
         EXPECT_EQ(dep.machineIndex, job.machineIndex);
         EXPECT_EQ(graph.ceilingJobFor(job), dep.id);
+        EXPECT_TRUE(job.dataDeps().empty()) << "the link is not an edge";
     }
+}
+
+TEST(JobGraph, CeilingProbesFollowTheSweepLongestFirst)
+{
+    const JobGraph graph = JobGraph::expand(twoVariantSpec());
+    const std::vector<rfl::roofline::BwProbe> flavors =
+        rfl::roofline::allBwProbes();
+
+    // Each fold: compute probe, then one probe per flavor in
+    // allBwProbes() order, all of its own signature and cache key.
+    std::vector<size_t> folds;
+    for (const Job &fold : graph.jobs()) {
+        if (fold.kind != JobKind::Ceiling ||
+            fold.ceilingPart != CeilingPart::Fold)
+            continue;
+        folds.push_back(fold.id);
+        ASSERT_EQ(fold.deps.size(), 1 + flavors.size());
+        for (size_t slot = 0; slot < fold.deps.size(); ++slot) {
+            const Job &probe = graph.jobs()[fold.deps[slot]];
+            EXPECT_EQ(probe.kind, JobKind::Ceiling);
+            EXPECT_EQ(probe.cacheKey, fold.cacheKey);
+            EXPECT_EQ(probe.machineIndex, fold.machineIndex);
+            EXPECT_EQ(probe.variantIndex, fold.variantIndex);
+            EXPECT_GT(probe.id, fold.id);
+            if (slot == 0) {
+                EXPECT_EQ(probe.ceilingPart, CeilingPart::Compute);
+            } else {
+                EXPECT_EQ(probe.ceilingPart, CeilingPart::Bandwidth);
+                EXPECT_EQ(probe.flavor, flavors[slot - 1]);
+            }
+        }
+    }
+    ASSERT_EQ(folds.size(), 2u);
+
+    // Probe ids trail every measure job: triads of every fold first,
+    // then scale, copy, read, nt-set and the compute roofs.
+    size_t lastSweep = 0;
+    std::vector<std::string> order;
+    for (const Job &job : graph.jobs()) {
+        if (job.kind != JobKind::Ceiling) {
+            lastSweep = job.id;
+        } else if (job.ceilingPart != CeilingPart::Fold) {
+            EXPECT_GT(job.id, lastSweep);
+            order.push_back(job.ceilingPart == CeilingPart::Compute
+                                ? "compute"
+                                : rfl::roofline::bwProbeName(job.flavor));
+        }
+    }
+    EXPECT_EQ(order, (std::vector<std::string>{
+                         "triad", "triad", "scale", "scale", "copy",
+                         "copy", "read", "read", "nt-set", "nt-set",
+                         "compute", "compute"}));
 }
 
 TEST(JobGraph, CacheKeysAreUniqueAndContentAddressed)
@@ -79,10 +138,17 @@ TEST(JobGraph, CacheKeysAreUniqueAndContentAddressed)
     const CampaignSpec spec = twoVariantSpec();
     const JobGraph graph = JobGraph::expand(spec);
 
+    // Unique but for the ceiling probes, which share their fold's key.
     std::set<std::string> keys;
-    for (const Job &job : graph.jobs())
-        keys.insert(job.cacheKey);
-    EXPECT_EQ(keys.size(), graph.size());
+    size_t probes = 0;
+    for (const Job &job : graph.jobs()) {
+        if (job.kind == JobKind::Ceiling &&
+            job.ceilingPart != CeilingPart::Fold)
+            ++probes;
+        else
+            keys.insert(job.cacheKey);
+    }
+    EXPECT_EQ(keys.size() + probes, graph.size());
 
     // Same content -> same key, regardless of spec object identity.
     const JobGraph again = JobGraph::expand(twoVariantSpec());

@@ -13,6 +13,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -29,10 +31,19 @@ namespace
 using namespace rfl;
 using namespace rfl::campaign;
 
+/** @return a temp path unique to @p name and this process, so suites
+ *  of two build trees can run at the same time. */
+std::string
+tempPath(const std::string &name)
+{
+    return ::testing::TempDir() + "rfl-" + name + "-" +
+           std::to_string(::getpid());
+}
+
 std::string
 freshDir(const std::string &name)
 {
-    const std::string dir = ::testing::TempDir() + "rfl-" + name;
+    const std::string dir = tempPath(name);
     std::filesystem::remove_all(dir);
     return dir;
 }
@@ -124,7 +135,7 @@ TEST(TraceJobs, SecondRunIsFullyCached)
 {
     const std::string trace_dir = freshDir("trace-jobs-cache");
     const std::string spill =
-        ::testing::TempDir() + "rfl-trace-jobs-cache.jsonl";
+        tempPath("trace-jobs-cache") + ".jsonl";
     std::remove(spill.c_str());
 
     const CampaignSpec spec = traceSpec();
@@ -158,7 +169,7 @@ TEST(TraceJobs, MissingTraceFileIsReRecorded)
 {
     const std::string trace_dir = freshDir("trace-jobs-rerecord");
     const std::string spill =
-        ::testing::TempDir() + "rfl-trace-jobs-rerecord.jsonl";
+        tempPath("trace-jobs-rerecord") + ".jsonl";
     std::remove(spill.c_str());
 
     const CampaignSpec spec = traceSpec();

@@ -2,6 +2,8 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -120,6 +122,69 @@ TEST(PlatformProbeTest, CharacterizeBandwidthCeilingsMatchStandaloneProbes)
         ASSERT_EQ(model.bandwidthCeilings().size(), 2u);
         EXPECT_EQ(model.bandwidthCeiling(bwProbeName(best.probe)),
                   best.bytesPerSec);
+    }
+}
+
+/** @return the cores of @p config's last socket. */
+std::vector<int>
+lastSocketCores(const sim::MachineConfig &config)
+{
+    std::vector<int> cores;
+    for (int c = 0; c < config.coresPerSocket; ++c)
+        cores.push_back((config.sockets - 1) * config.coresPerSocket + c);
+    return cores;
+}
+
+TEST(PlatformProbeTest, FoldOfIndependentProbesEqualsCharacterize)
+{
+    // The campaign executor runs the compute half and each bandwidth
+    // flavor on a fresh machine of its own, then folds them. That must
+    // give characterize()'s model on one machine, bit for bit. A
+    // second socket makes numa=local and numa=socket0 differ for the
+    // last socket's cores.
+    sim::MachineConfig twoSockets = sim::MachineConfig::smallTestMachine();
+    twoSockets.sockets = 2;
+    for (const sim::MachineConfig &config :
+         {sim::MachineConfig::smallTestMachine(), twoSockets}) {
+        for (sim::MemPolicy policy :
+             {sim::MemPolicy::LocalToAccessor, sim::MemPolicy::Socket0}) {
+            const auto machine = [&] {
+                auto m = std::make_unique<sim::Machine>(config);
+                m->setMemPolicy(policy);
+                return m;
+            };
+            const auto serial = machine();
+            for (const std::vector<int> &cores :
+                 {std::vector<int>{0}, lastSocketCores(config)}) {
+                SCOPED_TRACE(std::to_string(config.sockets) +
+                             " socket(s), " + std::to_string(cores.size()) +
+                             " core(s), policy " +
+                             std::to_string(static_cast<int>(policy)));
+                const RooflineModel want =
+                    PlatformProbe(*serial).characterize(cores);
+                // Flavors in reverse: the order they run in is free.
+                std::vector<BandwidthResult> flavors(allBwProbes().size());
+                for (size_t i = flavors.size(); i-- > 0;) {
+                    flavors[i] = PlatformProbe(*machine())
+                                     .bandwidthPeak(cores, allBwProbes()[i]);
+                }
+                const RooflineModel got = foldCeilings(
+                    PlatformProbe(*machine()).computeCeilings(cores),
+                    flavors);
+
+                for (const auto &[w, g] :
+                     {std::pair(&want.computeCeilings(),
+                                &got.computeCeilings()),
+                      std::pair(&want.bandwidthCeilings(),
+                                &got.bandwidthCeilings())}) {
+                    ASSERT_EQ(w->size(), g->size());
+                    for (size_t i = 0; i < w->size(); ++i) {
+                        EXPECT_EQ((*w)[i].name, (*g)[i].name);
+                        EXPECT_EQ((*w)[i].value, (*g)[i].value);
+                    }
+                }
+            }
+        }
     }
 }
 

@@ -87,7 +87,7 @@ TEST(ServiceJobQueue, StatusAndArtifactsFollowLifecycle)
     ASSERT_TRUE(queue.status(o.id, &st));
     EXPECT_EQ(st.state, JobState::Done);
     EXPECT_EQ(st.campaign, "queue-test");
-    EXPECT_EQ(st.jobs, 2u); // one ceiling + one measure
+    EXPECT_EQ(st.jobs, 8u); // a ceiling (fold + 6 probes) + one measure
     EXPECT_EQ(st.scenarioCount, 1u);
     EXPECT_GT(st.wallSeconds, 0.0);
 

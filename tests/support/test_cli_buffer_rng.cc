@@ -1,6 +1,10 @@
 /** @file Unit tests for Cli, AlignedBuffer and Rng. */
 
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdint>
+#include <fstream>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -107,6 +111,41 @@ TEST(AlignedBuffer, EmptyBuffer)
     EXPECT_TRUE(buf.empty());
 }
 
+/** @return this process's resident set in bytes (Linux /proc). */
+size_t
+residentBytes()
+{
+    std::ifstream statm("/proc/self/statm");
+    size_t pages = 0, resident = 0;
+    statm >> pages >> resident;
+    return resident * static_cast<size_t>(::sysconf(_SC_PAGESIZE));
+}
+
+TEST(AlignedBuffer, FreshAllocationStaysUntouched)
+{
+    // Zeroing comes from calloc, which writes no fresh page: reading
+    // the buffer maps the shared zero page, and only writes cost RSS.
+    constexpr size_t bytes = 64u << 20;
+    const size_t before = residentBytes();
+    AlignedBuffer<double> buf(bytes / sizeof(double));
+    double sum = 0.0;
+    for (double v : buf)
+        sum += v;
+    EXPECT_EQ(sum, 0.0);
+    EXPECT_TRUE(std::all_of(buf.begin(), buf.end(),
+                            [](double v) { return v == 0.0; }));
+#ifdef __SANITIZE_THREAD__
+    // ThreadSanitizer's calloc writes the zeros itself (and its shadow
+    // beside them), so RSS says nothing about this code there.
+    GTEST_SKIP() << "RSS not meaningful under ThreadSanitizer's calloc";
+#endif
+    const size_t read = residentBytes();
+    EXPECT_LT(read - std::min(read, before), size_t{8} << 20);
+    for (double &v : buf)
+        v = 1.0;
+    EXPECT_GT(residentBytes() - before, bytes / 2) << "RSS is measured";
+}
+
 TEST(AlignedBuffer, ByteCountOverflowThrowsBadAlloc)
 {
     // 2^61 doubles is 2^64 bytes, which wraps to 0; SIZE_MAX / 8
@@ -115,6 +154,11 @@ TEST(AlignedBuffer, ByteCountOverflowThrowsBadAlloc)
     EXPECT_THROW(buf.reset(size_t{1} << 61), std::bad_alloc);
     EXPECT_TRUE(buf.empty());
     EXPECT_THROW(buf.reset(SIZE_MAX / sizeof(double)), std::bad_alloc);
+    EXPECT_TRUE(buf.empty());
+    // Rounded up to whole lines the bytes fit, but not with the line
+    // of slack that aligning the calloc'd block takes.
+    EXPECT_THROW(buf.reset((SIZE_MAX - 64) / sizeof(double)),
+                 std::bad_alloc);
     EXPECT_TRUE(buf.empty());
 }
 
