@@ -109,8 +109,8 @@ class Runner
         if (kernel_) {
             // Mirror the real drivers (Measurer, executor, phase
             // runner): dependent-chain kernels put the machine in
-            // dependent mode, which routes the batched engine through
-            // the latency bypass.
+            // dependent mode, where the batched consume loop delivers
+            // every record on its own (no run coalescing).
             machine_.setDependentAccesses(kernel_->dependentAccesses());
             engine_ = std::make_unique<kernels::SimEngine>(
                 machine_, 0, w.lanes, true,

@@ -38,6 +38,7 @@
  */
 
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -190,7 +191,14 @@ main(int argc, char **argv)
         telemetry::TraceScope traceScope(tracer_ptr);
         telemetry::Span root("campaign");
         root.attr("campaign", spec.name());
-        run = cp::CampaignExecutor(exec).run(spec, tracer_ptr);
+        try {
+            run = cp::CampaignExecutor(exec).run(spec, tracer_ptr);
+        } catch (const std::exception &e) {
+            // An expired `timeout =` (TimedOutError) or an injected
+            // fault (FailpointError) ends the run with status 1, like
+            // any other fatal error, never with an abort.
+            fatal("campaign: %s", e.what());
+        }
     }
 
     if (profiling) {

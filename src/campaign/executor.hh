@@ -57,11 +57,12 @@ struct ExecutorOptions
      * Wall-clock budget per job in seconds; 0 disables. Combined with
      * the spec's own `timeout =` (the earlier deadline wins) into a
      * CancelToken bound to the worker for the job's duration; the
-     * simulator polls it at batch-drain boundaries. The first job to
-     * exceed its deadline throws TimedOutError AND flips a shared
-     * abort flag, so every sibling job of the same run unwinds at its
-     * next drain check instead of running to completion — run() never
-     * leaves a worker grinding on behalf of a dead campaign.
+     * simulator polls it each time an engine hands a full batch over.
+     * The first job to exceed its deadline throws TimedOutError AND
+     * flips a shared abort flag, so every sibling job of the same run
+     * unwinds at its next check instead of running to completion —
+     * run() never leaves a worker grinding on behalf of a dead
+     * campaign.
      */
     double jobTimeoutSeconds = 0.0;
 };

@@ -127,8 +127,8 @@ class CampaignSpec
     CampaignSpec &addVariant(const std::string &label,
                              const roofline::MeasureOptions &measure);
     /** Wall-clock budget for the whole run, seconds; 0 disables (the
-     *  default). A run exceeding it is cancelled at the next batch-
-     *  drain boundary and fails with TimedOutError (support/cancel.hh);
+     *  default). A run exceeding it is cancelled at the next batch
+     *  hand-over and fails with TimedOutError (support/cancel.hh);
      *  the service surfaces that as the TimedOut job state. */
     CampaignSpec &setTimeout(double seconds);
     /** Add a measurement plane: "sim" or "perf" (see file comment).

@@ -31,9 +31,7 @@ SimEngine::flush()
             writer_->append(batch_);
         // Simulating in place is safe: the machine's data path never
         // drains batch sources, so nothing re-enters this engine
-        // mid-consume. The core override is a fact, not a remap — every
-        // record in this batch carries core_ — and lets the consume
-        // loop skip span detection.
+        // mid-consume.
         machine_.simulateBatch(batch_, core_);
         batch_.clear();
     }
@@ -51,6 +49,7 @@ SimEngine::flush()
 void
 SimEngine::emitBatch(const trace::AccessBatch &b)
 {
+    checkCancelled("simulate");
     if (b.empty())
         return;
     if (dispatch_ == Dispatch::Batched) {

@@ -31,6 +31,7 @@
 #include "sim/core.hh"
 #include "sim/machine.hh"
 #include "support/address_arena.hh"
+#include "support/cancel.hh"
 #include "support/logging.hh"
 #include "trace/access_batch.hh"
 
@@ -372,7 +373,8 @@ class SimEngine : public sim::Machine::BatchSource
     /**
      * Simulate (and, when recording, serialize) every buffered record.
      * Idempotent; called automatically when the batch fills, when the
-     * machine drains its sources, and on destruction.
+     * machine drains its sources, and on destruction. Never checks the
+     * deadline, so a drain cannot throw TimedOutError.
      */
     void flush();
 
@@ -418,12 +420,7 @@ class SimEngine : public sim::Machine::BatchSource
             machine_.load(core_, addr, bytes);
             return;
         }
-        if (bypassBatching()) {
-            machine_.load(core_, addr, bytes);
-            return;
-        }
-        if (batch_.n >= batchLimit_)
-            flush();
+        makeRoom();
         batch_.pushMem(trace::AccessKind::Load, core_, addr, bytes,
                        noteLine(addr, bytes));
     }
@@ -435,12 +432,7 @@ class SimEngine : public sim::Machine::BatchSource
             machine_.store(core_, addr, bytes);
             return;
         }
-        if (bypassBatching()) {
-            machine_.store(core_, addr, bytes);
-            return;
-        }
-        if (batch_.n >= batchLimit_)
-            flush();
+        makeRoom();
         batch_.pushMem(trace::AccessKind::Store, core_, addr, bytes,
                        noteLine(addr, bytes));
     }
@@ -452,12 +444,7 @@ class SimEngine : public sim::Machine::BatchSource
             machine_.storeNT(core_, addr, bytes);
             return;
         }
-        if (bypassBatching()) {
-            machine_.storeNT(core_, addr, bytes);
-            return;
-        }
-        if (batch_.n >= batchLimit_)
-            flush();
+        makeRoom();
         prevLine_ = ~0ull; // NT stores never extend a same-line run
         batch_.pushMem(trace::AccessKind::StoreNT, core_, addr, bytes);
     }
@@ -492,9 +479,10 @@ class SimEngine : public sim::Machine::BatchSource
     }
 
     /**
-     * Replay a whole decoded batch: flushes buffered records first
-     * (stream order), then records/simulates @p b with every record
-     * remapped onto this engine's core.
+     * Replay a whole decoded batch: checks the bound deadline (like a
+     * capacity flush, see makeRoom), flushes buffered records (stream
+     * order), then records/simulates @p b with every record remapped
+     * onto this engine's core.
      */
     void emitBatch(const trace::AccessBatch &b);
     ///@}
@@ -671,27 +659,20 @@ class SimEngine : public sim::Machine::BatchSource
     void materializePending();
 
     /**
-     * Latency fast path: when the machine is in dependent-access mode
-     * (pointer chasing), each access's latency is the quantity being
-     * modeled, and coalescing never applies — buffering records only to
-     * have the consume loop deliver them one by one is pure overhead.
-     * Route memory records straight to the machine instead. Safe
-     * because setDependentAccesses() drains attached sources before
-     * toggling, so the buffer is empty whenever the mode flips; FP and
-     * uop retirements keep accumulating (they commute with every
-     * memory access, see emitFp). Disabled while recording: a trace
-     * must contain every record. prevLine_ is cleared so a stale
-     * same-line hint can never leak across a bypass period.
+     * Ensure the batch has a free slot, flushing it when full. The
+     * capacity flush is the simulator's cancellation point: a bound
+     * deadline (support/cancel.hh) is checked here, where the producer
+     * hands work over, so an expired run stops within one batch and
+     * the drains at observation points and in the destructor never
+     * throw.
      */
-    bool
-    bypassBatching()
+    void
+    makeRoom()
     {
-        if (!machine_.dependentAccesses() || writer_ != nullptr)
-            [[likely]] {
-            return false;
+        if (batch_.n >= batchLimit_) [[unlikely]] {
+            checkCancelled("simulate");
+            flush();
         }
-        prevLine_ = ~0ull;
-        return true;
     }
 
     /**

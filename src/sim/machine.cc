@@ -4,7 +4,6 @@
 #include <bit>
 #include <ostream>
 
-#include "support/cancel.hh"
 #include "support/logging.hh"
 #include "telemetry/sim_counters.hh"
 
@@ -338,8 +337,11 @@ Machine::storeNT(int core, uint64_t addr, uint32_t bytes)
 }
 
 void
-Machine::simulateBatch(const trace::AccessBatch &b, int core_override)
+Machine::simulateBatch(const trace::AccessBatch &b, int core)
 {
+    using trace::AccessKind;
+
+    RFL_ASSERT(core >= 0 && core < numCores_);
     RFL_TELEM({
         using telemetry::simCounters;
         (telemDraining_ ? simCounters().drainFlushBatches
@@ -347,42 +349,6 @@ Machine::simulateBatch(const trace::AccessBatch &b, int core_override)
             .fetch_add(1, std::memory_order_relaxed);
         simCounters().records.fetch_add(b.n, std::memory_order_relaxed);
     });
-    if (core_override >= 0) {
-        simulateBatchSpan(b, 0, b.n, core_override);
-    } else {
-        // Split the batch into maximal same-core spans so the span loop
-        // can hoist every per-core indirection. Engine-produced batches
-        // are single-core by construction (one engine = one core), so
-        // this scan normally finds exactly one span; it only does real
-        // work for multi-core traces replayed without a core override.
-        uint32_t i = 0;
-        while (i < b.n) {
-            const uint16_t core = b.core[i];
-            uint32_t j = i + 1;
-            while (j < b.n && b.core[j] == core)
-                ++j;
-            simulateBatchSpan(b, i, j, core);
-            i = j;
-        }
-    }
-    // Batch-drain boundary: the interval sampler's only check point,
-    // and the simulator's only cancellation point. With no deadline
-    // bound to the thread this is one thread-local load (cancel.hh);
-    // batches are hundreds of accesses, so it is far below the
-    // sim-throughput noise floor either way.
-    if (samplePeriod_)
-        maybeSample();
-    checkCancelled("simulate");
-}
-
-void
-Machine::simulateBatchSpan(const trace::AccessBatch &b, uint32_t begin,
-                           uint32_t end, int core)
-{
-    using trace::AccessBatch;
-    using trace::AccessKind;
-
-    RFL_ASSERT(core >= 0 && core < numCores_);
     // Coalescing applies when the fast path is on and the L1 prefetcher
     // reacts to a repeated hit with a bare observation count (the
     // streamer must run its full observe() per access). A dependent
@@ -402,7 +368,7 @@ Machine::simulateBatchSpan(const trace::AccessBatch &b, uint32_t begin,
     const uint32_t line_shift = lineShift_;
 
     // Hoist the runtime gate out of the consume loop and accumulate in
-    // locals; publish once at span end. The hot loop never touches an
+    // locals; publish once at batch end. The hot loop never touches an
     // atomic, and pays nothing beyond this one load when disabled.
     const bool telem_on = telemetry::simTelemetryEnabled();
     uint64_t telem_runs = 0;
@@ -425,7 +391,8 @@ Machine::simulateBatchSpan(const trace::AccessBatch &b, uint32_t begin,
         cc.fpUops += count;
     };
 
-    uint32_t i = begin;
+    const uint32_t end = b.n;
+    uint32_t i = 0;
     while (i < end) {
         const auto kind = static_cast<AccessKind>(b.kind[i] &
                                                   trace::kindValueMask);
@@ -550,6 +517,9 @@ Machine::simulateBatchSpan(const trace::AccessBatch &b, uint32_t begin,
         simCounters().coalescedRecords.fetch_add(
             telem_run_records, std::memory_order_relaxed);
     }
+    // Batch boundary: the interval sampler's only check point.
+    if (samplePeriod_)
+        maybeSample();
 }
 
 void

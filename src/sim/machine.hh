@@ -135,12 +135,13 @@ class Machine
      * O(1) bulk counter updates (bit-identical by construction; the
      * golden equivalence test enforces it).
      *
-     * @param core_override when >= 0, every record is executed as this
-     * core regardless of its core plane (trace replay remaps a recorded
-     * stream onto the replaying engine's core).
+     * A batch is one core's stream: every record executes as @p core
+     * whatever its core plane says (trace replay remaps a recorded
+     * stream onto the replaying engine's core this way). Never checks
+     * for cancellation; producers do that before they hand a batch
+     * over (kernels::SimEngine), so drains cannot throw.
      */
-    void simulateBatch(const trace::AccessBatch &batch,
-                       int core_override = -1);
+    void simulateBatch(const trace::AccessBatch &batch, int core);
     ///@}
 
     /**
@@ -234,8 +235,9 @@ class Machine
     ///@{
     /**
      * Record a full counter Snapshot every @p accesses demand
-     * load/store uops. The check runs at batch-drain boundaries — each
-     * simulateBatch() consumption — so sample positions quantize to
+     * load/store uops. The check runs at the end of each
+     * simulateBatch() — every batch a batched SimEngine hands over,
+     * dependent chains included — so sample positions quantize to
      * batch flushes and the per-access hot loop is untouched (the
      * per-access Direct dispatch never samples). Sampling only *reads*
      * counters: every architectural observable is bit-identical with
@@ -349,8 +351,8 @@ class Machine
     uint64_t totalAccessUops() const;
 
     /**
-     * Interval-sampling check, run at every batch-drain boundary (end
-     * of simulateBatch). Reads counters only — never mutates machine
+     * Interval-sampling check, run at the end of every
+     * simulateBatch(). Reads counters only — never mutates machine
      * state — so enabling it cannot perturb a single counter.
      */
     void
@@ -376,14 +378,6 @@ class Machine
 
     /** The full (reference) demand-access path. */
     void accessLineFull(int core, uint64_t line_addr, bool write);
-
-    /**
-     * Consume records [begin, end) of @p batch, all executing as
-     * @p core: the single-core inner loop of simulateBatch() with every
-     * per-core indirection hoisted.
-     */
-    void simulateBatchSpan(const trace::AccessBatch &batch,
-                           uint32_t begin, uint32_t end, int core);
 
     /**
      * observe() on @p pf with a direct (devirtualized) call: @p kind is

@@ -5,23 +5,24 @@
  * A CancelToken carries an optional deadline and an optional shared
  * abort flag; a CancelScope binds one token to the current thread
  * (RAII, nests). Long-running code polls at natural boundaries —
- * the simulator checks once per batch drain (Machine::simulateBatch),
- * the campaign executor between job stages — via checkCancelled(),
- * which throws TimedOutError once the bound token expires.
+ * the simulator once per batch a producer hands over (a SimEngine
+ * capacity flush or replayed trace batch, never a drain), the campaign
+ * executor between job stages — via checkCancelled(), which throws
+ * TimedOutError once the bound token expires.
  *
  * Cost model: with no token bound (every CLI run, every campaign
  * without a timeout) a check is one thread-local pointer load and a
  * predictable branch — nothing else. With a token bound it adds one
- * relaxed atomic load plus a steady_clock read per check; drain
- * boundaries are hundreds of accesses apart, so this stays far below
- * the sim-throughput noise floor.
+ * relaxed atomic load plus a steady_clock read per check; the
+ * simulator checks once per batch of up to 4096 records, so this
+ * stays far below the sim-throughput noise floor.
  *
  * The campaign executor builds one token per job (deadline = the
  * earlier of the campaign's `timeout =` deadline and the job's
  * ExecutorOptions::jobTimeoutSeconds budget), all linked to one
  * per-run abort flag: the first job to time out flips the flag and
  * every other in-flight job of the same campaign unwinds at its next
- * drain check instead of running to completion.
+ * check instead of running to completion.
  */
 
 #ifndef RFL_SUPPORT_CANCEL_HH

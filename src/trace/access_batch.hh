@@ -39,7 +39,7 @@ namespace rfl::trace
  * differ only in bit 0 (write bit), and every kind value that may
  * *continue* a coalesced same-line run — Fp, Other, and Load/Store
  * carrying kindFlagSameLine — compares >= Fp, so the run scan is a
- * single byte comparison (see Machine::simulateBatchSpan).
+ * single byte comparison (see Machine::simulateBatch).
  */
 enum class AccessKind : uint8_t
 {

@@ -5,8 +5,11 @@
 #include "kernels/daxpy.hh"
 #include "kernels/registry.hh"
 #include "pmu/sim_backend.hh"
+#include "roofline/experiment.hh"
 #include "roofline/measurement.hh"
 #include "sim/machine.hh"
+#include "support/cancel.hh"
+#include "trace/access_batch.hh"
 
 namespace
 {
@@ -232,6 +235,29 @@ TEST(Measurement, DependentKernelGetsMlpOne)
     EXPECT_GT(m.seconds, 16384 * 80e-9 * 0.9);
     // And the flag must be restored afterwards.
     EXPECT_FALSE(machine.dependentAccesses());
+}
+
+/** An expired deadline stops a measurement at the engine's first
+ *  batch hand-over and surfaces as TimedOutError: the drain in
+ *  ~SimEngine must not throw a second time (that would terminate the
+ *  process), and a dependent chain honors the deadline like any other
+ *  stream instead of running all its hops. */
+TEST(Measurement, ExpiredDeadlineThrowsTimedOutWithinOneBatch)
+{
+    for (const char *spec :
+         {"daxpy:n=65536", "pointer-chase:nodes=65536"}) {
+        Experiment exp;
+        CancelToken token;
+        token.setDeadlineIn(0.0);
+        {
+            CancelScope scope(&token);
+            EXPECT_THROW(exp.measureSpec(spec), TimedOutError) << spec;
+        }
+        uint64_t loads = 0;
+        for (const sim::CoreCounters &cc : exp.machine().snapshot().cores)
+            loads += cc.loadUops;
+        EXPECT_LE(loads, 2u * trace::AccessBatch::capacity) << spec;
+    }
 }
 
 TEST(Measurement, OverheadSubtractionChangesNothingWhenFrameworkIsQuiet)

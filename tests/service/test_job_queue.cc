@@ -293,6 +293,35 @@ TEST(ServiceJobQueue, RunTimeoutSurfacesAsTimedOutNotHang)
         << "retry replaces the timed-out record, not double-counts";
 }
 
+TEST(ServiceJobQueue, MidSimulationTimeoutLeavesQueueServing)
+{
+    // A budget that expires while a job is simulating (not between
+    // stages) unwinds that job as timed_out; the worker survives and
+    // runs the next campaign.
+    JobQueueOptions opts;
+    opts.workers = 1;
+    opts.exec.threads = 1;
+    JobQueue queue(opts);
+
+    const SubmitOutcome big = queue.submit(
+        "name = queue-deadline\n"
+        "machine = small\n"
+        "kernel = daxpy:n=8388608\n"
+        "variant = cold-1c: protocol=cold cores=0 reps=1\n"
+        "timeout = 0.3\n");
+    ASSERT_EQ(big.kind, SubmitOutcome::Kind::Accepted);
+    ASSERT_TRUE(queue.waitFor(big.id, 60.0));
+    JobStatus st;
+    ASSERT_TRUE(queue.status(big.id, &st));
+    EXPECT_EQ(st.state, JobState::TimedOut) << "error: " << st.error;
+
+    const SubmitOutcome small = queue.submit(kSmallSpec);
+    ASSERT_EQ(small.kind, SubmitOutcome::Kind::Accepted);
+    ASSERT_TRUE(queue.waitFor(small.id, 60.0));
+    ASSERT_TRUE(queue.status(small.id, &st));
+    EXPECT_EQ(st.state, JobState::Done) << "error: " << st.error;
+}
+
 TEST(ServiceJobQueue, PerJobTimeoutOptionTimesOutCampaigns)
 {
     // The service-level budget (--job-timeout) needs no cooperation

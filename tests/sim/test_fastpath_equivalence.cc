@@ -383,42 +383,4 @@ TEST(BatchedEquivalence, EveryKernelL1PrefetcherNoneAndStream)
     }
 }
 
-/** A batch interleaving records of several cores, consumed without a
- *  core override, must split into same-core spans and match the
- *  per-access call sequence (the path multi-core trace replays use). */
-TEST(BatchedEquivalence, MultiCoreBatchSegmentation)
-{
-    auto access = [](Machine &, auto &&touch) {
-        // Interleaved per-core streams: same-line streaks, a line
-        // shared between cores, and a page change.
-        for (uint64_t i = 0; i < 512; ++i) {
-            const int core = static_cast<int>(i & 3);
-            const uint64_t addr =
-                (1ull << 32) + (i & 3) * 8192 + (i / 4) * 8;
-            touch(core, addr);
-            if ((i & 7) == 7)
-                touch(core, (1ull << 32) + 4 * 8192); // shared line
-        }
-    };
-
-    Machine direct(MachineConfig::defaultPlatform());
-    access(direct, [&](int core, uint64_t addr) {
-        direct.load(core, addr, 8);
-    });
-
-    Machine batched(MachineConfig::defaultPlatform());
-    rfl::trace::AccessBatch batch;
-    access(batched, [&](int core, uint64_t addr) {
-        if (batch.full()) {
-            batched.simulateBatch(batch);
-            batch.clear();
-        }
-        batch.pushMem(rfl::trace::AccessKind::Load, core, addr, 8);
-    });
-    batched.simulateBatch(batch);
-
-    expectEqual(direct.snapshot(), batched.snapshot(),
-                "multi-core segmentation");
-}
-
 } // namespace

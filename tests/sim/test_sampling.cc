@@ -172,6 +172,16 @@ TEST(IntervalSampling, TotalsBitIdenticalForAllRegisteredKernels)
     EXPECT_GT(sampled_runs_with_samples, 0u);
 }
 
+/** A dependent chain buffers and drains like every other stream, so
+ *  the sampler sees it at each batch hand-over, not only at the final
+ *  drain: 16384 hops at period 4096 give one sample per full batch. */
+TEST(IntervalSampling, PointerChaseSamplesEveryBatch)
+{
+    const RunResult r =
+        runKernel("pointer-chase:nodes=1024,hops=16384", 4096);
+    EXPECT_GE(r.samples.size(), 3u);
+}
+
 TEST(IntervalSampling, IntervalDeltasSumToRegionTotal)
 {
     const RunResult r = runKernel("fft:n=4096", 512);

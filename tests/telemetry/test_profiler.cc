@@ -1,4 +1,4 @@
-/** @file Tests for the sampling profiler (DESIGN.md §14). */
+/** @file Tests for the sampling profiler (DESIGN.md §13). */
 
 #include <atomic>
 #include <chrono>

@@ -1,4 +1,4 @@
-/** @file Tests for per-thread resource accounting (DESIGN.md §14). */
+/** @file Tests for per-thread resource accounting (DESIGN.md §13). */
 
 #include <atomic>
 #include <chrono>

@@ -1,4 +1,4 @@
-/** @file Tests for the metrics time-series sampler (DESIGN.md §14). */
+/** @file Tests for the metrics time-series sampler (DESIGN.md §13). */
 
 #include <string>
 #include <thread>

@@ -12,7 +12,10 @@
 #   * dropped/garbled connections (http.accept / http.recv faults)
 #     never crash or wedge the daemon;
 #   * dedup still holds, /metricsz exposes rfl_failpoint_* and
-#     rfl_retry_* families, and SIGTERM still exits 0.
+#     rfl_retry_* families, and SIGTERM still exits 0;
+#   * the roofline_campaign CLI exits 1, never aborts, on an injected
+#     simulate fault (error or throw) and on a deadline that expires
+#     mid-simulation.
 # Run by CI in both the Release and ASan/UBSan jobs:
 #   tools/chaos_smoke.sh <build-dir>
 set -euo pipefail
@@ -206,4 +209,33 @@ if ! wait "$SERVE_PID"; then
     exit 1
 fi
 grep -q "shutting down gracefully" "$WORK/serve.log"
+
+# The CLI maps every error escaping a run to exit status 1 with one
+# log line; an uncaught exception would abort with 134.
+expect_exit1() { # expect_exit1 <label> <stderr-pattern> <env...>
+    local label=$1 pattern=$2 rc=0
+    shift 2
+    env "$@" "$BUILD"/roofline_campaign --file "$WORK/cli_spec" \
+        --cache "" > "$WORK/cli.out" 2> "$WORK/cli.err" || rc=$?
+    [ "$rc" = 1 ] || { echo "FAIL: $label exited $rc, want 1"; \
+        cat "$WORK/cli.err"; exit 1; }
+    grep -q "$pattern" "$WORK/cli.err" || { echo "FAIL: $label" \
+        "stderr lacks '$pattern'"; cat "$WORK/cli.err"; exit 1; }
+    echo "cli $label: exit 1 OK"
+}
+printf '%s\n' "$SPEC_PATIENT" > "$WORK/cli_spec"
+expect_exit1 "simulate=error" "injected fault" \
+    RFL_OUT_DIR="$WORK/cli" RFL_FAILPOINTS=job.simulate=error
+expect_exit1 "simulate=throw" "failpoint 'job.simulate'" \
+    RFL_OUT_DIR="$WORK/cli" RFL_FAILPOINTS=job.simulate=throw
+# A budget that expires while daxpy streams 128 MiB through the
+# simulator: the deadline fires at a batch hand-over, not between
+# stages.
+printf '%s\n' 'name = cli-deadline
+machine = small
+kernel = daxpy:n=8388608
+timeout = 0.2
+variant = cold-1c: protocol=cold cores=0 reps=1' > "$WORK/cli_spec"
+expect_exit1 "timeout" "deadline exceeded" \
+    RFL_OUT_DIR="$WORK/cli" RFL_FAILPOINTS=
 echo "chaos smoke OK"
