@@ -191,14 +191,23 @@ main(int argc, char **argv)
         telemetry::TraceScope traceScope(tracer_ptr);
         telemetry::Span root("campaign");
         root.attr("campaign", spec.name());
+        // Workers run in throwing mode: a fatal() on a pool thread
+        // becomes the executor's first exception, rethrown here, so
+        // the process exits once, from this thread.
+        const bool wasThrowing = setFatalThrows(true);
         try {
             run = cp::CampaignExecutor(exec).run(spec, tracer_ptr);
+        } catch (const FatalError &e) {
+            setFatalThrows(wasThrowing);
+            fatal("%s", e.what());
         } catch (const std::exception &e) {
             // An expired `timeout =` (TimedOutError) or an injected
             // fault (FailpointError) ends the run with status 1, like
             // any other fatal error, never with an abort.
+            setFatalThrows(wasThrowing);
             fatal("campaign: %s", e.what());
         }
+        setFatalThrows(wasThrowing);
     }
 
     if (profiling) {

@@ -24,11 +24,26 @@ SimEngine::materializePending()
 }
 
 void
+SimEngine::record(const trace::AccessBatch &b)
+{
+    if (!writer_)
+        return;
+    try {
+        writer_->append(b);
+    } catch (...) {
+        // A failed write ends the recording and drops the batch, so
+        // the destructor's flush neither writes again nor throws.
+        writer_ = nullptr;
+        batch_.clear();
+        throw;
+    }
+}
+
+void
 SimEngine::flush()
 {
     if (!batch_.empty()) {
-        if (writer_)
-            writer_->append(batch_);
+        record(batch_);
         // Simulating in place is safe: the machine's data path never
         // drains batch sources, so nothing re-enters this engine
         // mid-consume.
@@ -39,8 +54,7 @@ SimEngine::flush()
     // (they commute with everything that preceded them; see emitFp).
     materializePending();
     if (!batch_.empty()) {
-        if (writer_)
-            writer_->append(batch_);
+        record(batch_);
         machine_.simulateBatch(batch_, core_);
         batch_.clear();
     }
@@ -54,8 +68,7 @@ SimEngine::emitBatch(const trace::AccessBatch &b)
         return;
     if (dispatch_ == Dispatch::Batched) {
         flush();
-        if (writer_)
-            writer_->append(b);
+        record(b);
     }
     machine_.simulateBatch(b, core_);
 }

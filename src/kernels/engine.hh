@@ -659,6 +659,13 @@ class SimEngine : public sim::Machine::BatchSource
     void materializePending();
 
     /**
+     * Append @p b to the attached trace writer, if any. When the write
+     * throws (fatal() in throwing mode), the writer is detached and
+     * batch_ cleared before the exception leaves.
+     */
+    void record(const trace::AccessBatch &b);
+
+    /**
      * Ensure the batch has a free slot, flushing it when full. The
      * capacity flush is the simulator's cancellation point: a bound
      * deadline (support/cancel.hh) is checked here, where the producer

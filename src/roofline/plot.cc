@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 #include "support/gnuplot.hh"
@@ -43,6 +44,11 @@ void
 RooflinePlot::addPoint(const std::string &label, double oi, double perf,
                        bool hardware)
 {
+    // A warm in-cache kernel moves no DRAM bytes (I = +inf): it has no
+    // place on the plot but is a normal result, so it is skipped
+    // quietly. NaN, zero and negative inputs are still reported.
+    if (oi == std::numeric_limits<double>::infinity() && perf > 0)
+        return;
     if (!std::isfinite(oi) || oi <= 0 || perf <= 0) {
         warn("roofline plot '%s': skipping point '%s' with I=%g P=%g",
              title_.c_str(), label.c_str(), oi, perf);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <iterator>
 #include <thread>
 
 #include "pmu/perf_backend.hh"
@@ -112,25 +113,39 @@ statusJson(const JobStatus &st)
 /**
  * Per-endpoint service-time histogram with bounded label cardinality:
  * fixed endpoints by name, campaign artifact routes collapsed to one
- * template, everything else "other".
+ * template, everything else "other". Each endpoint's series is
+ * registered on its first request (so /metricsz lists only endpoints
+ * that were hit) and read lock-free after that: the registry hands out
+ * stable references, and a race between two first requests resolves
+ * to the same one.
  */
 telemetry::Histogram &
 endpointHistogram(const std::string &path)
 {
-    std::string endpoint;
-    if (path == "/healthz" || path == "/statsz" ||
-        path == "/metricsz" || path == "/tracez" ||
-        path == "/seriesz" || path == "/dashz" ||
-        path == "/profilez" || path == "/v1/campaigns") {
-        endpoint = path;
-    } else if (path.rfind("/v1/campaigns/", 0) == 0) {
-        endpoint = "/v1/campaigns/{id}";
-    } else {
-        endpoint = "other";
+    static constexpr const char *kEndpoints[] = {
+        "/healthz",  "/statsz",   "/metricsz", "/tracez",
+        "/seriesz",  "/dashz",    "/profilez", "/v1/campaigns",
+        "/v1/campaigns/{id}",     "other",
+    };
+    constexpr size_t kTemplated = std::size(kEndpoints) - 2;
+    static std::atomic<telemetry::Histogram *>
+        resolved[std::size(kEndpoints)];
+
+    size_t slot = 0;
+    while (slot < kTemplated && path != kEndpoints[slot])
+        ++slot;
+    if (slot == kTemplated && path.rfind("/v1/campaigns/", 0) != 0)
+        ++slot; // "other"
+    telemetry::Histogram *h =
+        resolved[slot].load(std::memory_order_acquire);
+    if (!h) {
+        h = &telemetry::Registry::global().histogram(
+            "rfl_http_request_seconds",
+            "request service time by endpoint",
+            {{"endpoint", kEndpoints[slot]}});
+        resolved[slot].store(h, std::memory_order_release);
     }
-    return telemetry::Registry::global().histogram(
-        "rfl_http_request_seconds", "request service time by endpoint",
-        {{"endpoint", endpoint}});
+    return *h;
 }
 
 } // namespace

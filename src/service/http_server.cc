@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <sstream>
 
@@ -26,16 +27,8 @@ namespace
 using Clock = std::chrono::steady_clock;
 using net::lowercase;
 using net::sendAll;
+using net::sendAllv;
 using net::trimWs;
-
-/** Outcome of reading one request off a connection. */
-enum class ReadResult
-{
-    Ok,
-    Closed,    ///< peer closed / idle timeout / server stopping
-    Malformed, ///< unparsable request (answer 400, close)
-    TooLarge,  ///< exceeds maxRequestBytes (answer 413, close)
-};
 
 void
 parseQuery(HttpRequest &req)
@@ -257,7 +250,7 @@ HttpServer::acceptLoop()
         tv.tv_usec = 200 * 1000;
         ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
         // Bounded sends: a peer that stops reading must fail the
-        // write (sendAll treats the timeout as a transport error and
+        // write (sendAllv treats the timeout as a transport error and
         // the connection closes) instead of pinning a worker in
         // send() forever — that would deadlock graceful shutdown.
         timeval snd{};
@@ -271,14 +264,6 @@ HttpServer::acceptLoop()
     }
 }
 
-namespace
-{
-
-/**
- * Read one request. Returns when a full head + body is buffered, the
- * peer closes, the idle deadline passes, or @p stopping flips.
- * @p buffer carries pipelined leftovers between calls.
- */
 ReadResult
 readRequest(int fd, std::string &buffer, HttpRequest &req,
             const HttpServerOptions &opts,
@@ -353,6 +338,9 @@ readRequest(int fd, std::string &buffer, HttpRequest &req,
     }
 }
 
+namespace
+{
+
 /** Serialize and send @p resp; @return bytes written (0 on error). */
 size_t
 writeResponse(int fd, const HttpResponse &resp, bool keepAlive,
@@ -362,51 +350,63 @@ writeResponse(int fd, const HttpResponse &resp, bool keepAlive,
     // the caller closes the connection, exactly as for a real one.
     if (RFL_FAILPOINT("http.send"))
         return 0;
-    std::ostringstream head;
-    head << "HTTP/1.1 " << resp.status << " "
-         << httpStatusText(resp.status) << "\r\n"
-         << "Server: roofline-serve\r\n"
-         << "Content-Type: " << resp.contentType << "\r\n"
-         << "Connection: " << (keepAlive ? "keep-alive" : "close")
-         << "\r\n";
-    for (const auto &[name, value] : resp.headers)
-        head << name << ": " << value << "\r\n";
+    std::string head = "HTTP/1.1 ";
+    head += std::to_string(resp.status);
+    head += ' ';
+    head += httpStatusText(resp.status);
+    head += "\r\nServer: roofline-serve\r\nContent-Type: ";
+    head += resp.contentType;
+    head += "\r\nConnection: ";
+    head += keepAlive ? "keep-alive" : "close";
+    head += "\r\n";
+    for (const auto &[name, value] : resp.headers) {
+        head += name;
+        head += ": ";
+        head += value;
+        head += "\r\n";
+    }
+
+    // The whole response leaves in one gathered send: the head, then
+    // the body straight from resp.body (never copied). A chunked body
+    // interleaves its frames (size in hex and CRLF before each chunk,
+    // CRLF after it, a zero-size chunk at the end); each frame string
+    // also carries the CRLF that closes the chunk before it.
+    const size_t bodySize = resp.body.size();
+    char *const body = const_cast<char *>(resp.body.data());
+    std::vector<iovec> iov;
+    std::string frames;
     if (resp.chunked) {
-        // Chunk framing: size in hex, CRLF, data, CRLF; zero-size
-        // chunk terminates. Frames are written straight from the
-        // body — no re-copied payload buffer, so a large artifact
-        // held by many workers costs one allocation, not three.
-        head << "Transfer-Encoding: chunked\r\n\r\n";
-        const std::string headStr = head.str();
-        if (!sendAll(fd, headStr.data(), headStr.size()))
-            return 0;
-        size_t wrote = headStr.size();
-        char frame[32];
-        for (size_t off = 0; off < resp.body.size();
-             off += chunkBytes) {
+        head += "Transfer-Encoding: chunked\r\n\r\n";
+        const size_t chunks = (bodySize + chunkBytes - 1) / chunkBytes;
+        // Capacity for every frame up front: the iovecs point into it.
+        constexpr size_t kMaxFrame = 2 + 16 + 2 + 2;
+        frames.reserve((chunks + 1) * kMaxFrame);
+        iov.reserve(2 * chunks + 2);
+        iov.push_back({head.data(), head.size()});
+        for (size_t i = 0; i <= chunks; ++i) {
+            const size_t off = i * chunkBytes;
             const size_t n =
-                std::min(chunkBytes, resp.body.size() - off);
-            const int flen = std::snprintf(frame, sizeof(frame),
-                                           "%zx\r\n", n);
-            if (flen <= 0 ||
-                !sendAll(fd, frame, static_cast<size_t>(flen)) ||
-                !sendAll(fd, resp.body.data() + off, n) ||
-                !sendAll(fd, "\r\n", 2)) {
-                return 0;
-            }
-            wrote += static_cast<size_t>(flen) + n + 2;
+                i < chunks ? std::min(chunkBytes, bodySize - off) : 0;
+            char frame[kMaxFrame + 1];
+            const int len = std::snprintf(frame, sizeof(frame),
+                                          "%s%zx\r\n%s", i ? "\r\n" : "",
+                                          n, n ? "" : "\r\n");
+            iov.push_back({frames.data() + frames.size(),
+                           static_cast<size_t>(len)});
+            frames.append(frame, static_cast<size_t>(len));
+            if (n)
+                iov.push_back({body + off, n});
         }
-        if (!sendAll(fd, "0\r\n\r\n", 5))
-            return 0;
-        return wrote + 5;
+    } else {
+        head += "Content-Length: ";
+        head += std::to_string(bodySize);
+        head += "\r\n\r\n";
+        iov.push_back({head.data(), head.size()});
+        iov.push_back({body, bodySize});
     }
-    head << "Content-Length: " << resp.body.size() << "\r\n\r\n";
-    const std::string headStr = head.str();
-    if (!sendAll(fd, headStr.data(), headStr.size()) ||
-        !sendAll(fd, resp.body.data(), resp.body.size())) {
+    if (!sendAllv(fd, iov.data(), iov.size()))
         return 0;
-    }
-    return headStr.size() + resp.body.size();
+    return head.size() + frames.size() + bodySize;
 }
 
 } // namespace

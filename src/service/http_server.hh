@@ -113,6 +113,26 @@ struct HttpServerStats
     uint64_t bytesOut = 0;    ///< response bytes written
 };
 
+/** Outcome of reading one request off a connection. */
+enum class ReadResult
+{
+    Ok,
+    Closed,    ///< peer closed / idle timeout / server stopping
+    Malformed, ///< unparsable request (answer 400, close)
+    TooLarge,  ///< exceeds maxRequestBytes (answer 413, close)
+};
+
+/**
+ * Read one request from @p fd into @p req. Returns when a full head +
+ * body is buffered, the peer closes, the idle deadline passes, or
+ * @p stopping flips; @p buffer carries pipelined leftovers between
+ * calls. Answers "Expect: 100-continue" on @p fd. The server's
+ * connection loop is the caller; tests drive it over a socketpair.
+ */
+ReadResult readRequest(int fd, std::string &buffer, HttpRequest &req,
+                       const HttpServerOptions &opts,
+                       const std::atomic<bool> &stopping);
+
 /** See file comment. */
 class HttpServer
 {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -51,26 +52,40 @@ labelSuffix(const Labels &labels)
     return out;
 }
 
-/** Like labelSuffix but with extra label(s) appended (histogram le). */
-std::string
-labelSuffixWith(const Labels &labels, const std::string &key,
-                const std::string &value)
+/** Append @p v in Prometheus float form: "+Inf"/"-Inf", else %.17g. */
+void
+appendPromNumber(std::string &out, double v)
 {
-    Labels all = labels;
-    all.emplace_back(key, value);
-    return labelSuffix(all);
+    if (std::isinf(v)) {
+        out += v > 0 ? "+Inf" : "-Inf";
+        return;
+    }
+    char buf[32];
+    const int n = std::snprintf(buf, sizeof(buf), "%.17g", v);
+    out.append(buf, static_cast<size_t>(n));
 }
 
-/** Prometheus float: "+Inf" for infinity, %.17g otherwise. */
-std::string
-promNumber(double v)
+/** One sample line: its fixed prefix, then @p v and a newline. */
+void
+appendLine(std::string &out, const std::string &prefix, uint64_t v)
 {
-    if (std::isinf(v))
-        return v > 0 ? "+Inf" : "-Inf";
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
+    char buf[24];
+    const auto res = std::to_chars(buf, buf + sizeof(buf), v);
+    out += prefix;
+    out.append(buf, res.ptr);
+    out += '\n';
 }
+
+void
+appendLine(std::string &out, const std::string &prefix, double v)
+{
+    out += prefix;
+    appendPromNumber(out, v);
+    out += '\n';
+}
+
+/** Longest value appendLine() writes: "-1.2345678901234567e-308". */
+constexpr size_t kMaxValueChars = 24;
 
 } // namespace
 
@@ -180,9 +195,10 @@ Registry::findOrCreate(Kind kind, const std::string &name,
                        const Labels &labels, const std::string &help,
                        const std::vector<double> *bounds)
 {
+    std::string labelText = labelSuffix(labels);
     std::string key = name;
     key += '\0';
-    key += labelSuffix(labels);
+    key += labelText;
 
     std::lock_guard<std::mutex> lock(mutex_);
     const auto it = metrics_.find(key);
@@ -198,18 +214,47 @@ Registry::findOrCreate(Kind kind, const std::string &name,
     entry.kind = kind;
     entry.name = name;
     entry.labels = labels;
-    entry.help = help;
+    if (!help.empty())
+        entry.header = "# HELP " + name + " " + help + "\n";
+    entry.header += "# TYPE " + name + " ";
+    entry.header += kind == Kind::Counter ? "counter"
+                    : kind == Kind::Gauge ? "gauge"
+                                          : "histogram";
+    entry.header += "\n";
     switch (kind) {
       case Kind::Counter:
         entry.counter = std::make_unique<Counter>();
+        entry.linePrefixes.push_back(name + labelText + " ");
         break;
       case Kind::Gauge:
         entry.gauge = std::make_unique<Gauge>();
+        entry.linePrefixes.push_back(name + labelText + " ");
         break;
-      case Kind::Histogram:
+      case Kind::Histogram: {
         entry.histogram = std::make_unique<Histogram>(*bounds);
+        // name_bucket{labels,le="b"} per bound, +Inf last; the label
+        // text is reopened to append le.
+        const std::string open =
+            name + "_bucket" +
+            (labels.empty()
+                 ? std::string("{")
+                 : labelText.substr(0, labelText.size() - 1) + ",") +
+            "le=\"";
+        for (double b : *bounds) {
+            std::string prefix = open;
+            appendPromNumber(prefix, b);
+            entry.linePrefixes.push_back(prefix + "\"} ");
+        }
+        entry.linePrefixes.push_back(open + "+Inf\"} ");
+        entry.linePrefixes.push_back(name + "_sum" + labelText + " ");
+        entry.linePrefixes.push_back(name + "_count" + labelText + " ");
         break;
+      }
     }
+    textBytes_ += entry.header.size();
+    for (const std::string &prefix : entry.linePrefixes)
+        textBytes_ += prefix.size() + kMaxValueChars + 1;
+    entry.labelText = std::move(labelText);
     return metrics_.emplace(std::move(key), std::move(entry))
         .first->second;
 }
@@ -314,52 +359,40 @@ Registry::renderPrometheus()
     std::lock_guard<std::mutex> lock(mutex_);
     runCollectorsLocked();
 
-    std::ostringstream out;
-    std::string lastFamily;
+    // Every line's text up to its value was built at registration;
+    // this loop appends prefixes and numbers into one allocation.
+    std::string out;
+    out.reserve(textBytes_);
+    const std::string *family = nullptr;
     for (const auto &[key, e] : metrics_) {
-        if (e.name != lastFamily) {
-            lastFamily = e.name;
-            if (!e.help.empty())
-                out << "# HELP " << e.name << " " << e.help << "\n";
-            out << "# TYPE " << e.name << " "
-                << (e.kind == Kind::Counter
-                        ? "counter"
-                        : e.kind == Kind::Gauge ? "gauge"
-                                                : "histogram")
-                << "\n";
+        if (!family || e.name != *family) {
+            family = &e.name;
+            out += e.header;
         }
-        const std::string labels = labelSuffix(e.labels);
         switch (e.kind) {
           case Kind::Counter:
-            out << e.name << labels << " " << e.counter->value()
-                << "\n";
+            appendLine(out, e.linePrefixes[0], e.counter->value());
             break;
           case Kind::Gauge:
-            out << e.name << labels << " "
-                << promNumber(e.gauge->value()) << "\n";
+            appendLine(out, e.linePrefixes[0], e.gauge->value());
             break;
           case Kind::Histogram: {
             const Histogram &h = *e.histogram;
+            const size_t buckets = h.bounds().size();
             uint64_t cum = 0;
-            for (size_t i = 0; i < h.bounds().size(); ++i) {
+            for (size_t i = 0; i < buckets; ++i) {
                 cum += h.bucketCount(i);
-                out << e.name << "_bucket"
-                    << labelSuffixWith(e.labels, "le",
-                                       promNumber(h.bounds()[i]))
-                    << " " << cum << "\n";
+                appendLine(out, e.linePrefixes[i], cum);
             }
-            out << e.name << "_bucket"
-                << labelSuffixWith(e.labels, "le", "+Inf") << " "
-                << h.count() << "\n";
-            out << e.name << "_sum" << labels << " "
-                << promNumber(h.sum()) << "\n";
-            out << e.name << "_count" << labels << " " << h.count()
-                << "\n";
+            const uint64_t count = h.count();
+            appendLine(out, e.linePrefixes[buckets], count);
+            appendLine(out, e.linePrefixes[buckets + 1], h.sum());
+            appendLine(out, e.linePrefixes[buckets + 2], count);
             break;
           }
         }
     }
-    return out.str();
+    return out;
 }
 
 std::string
@@ -388,8 +421,7 @@ Registry::renderJsonGrouped()
             member.size() > 6 &&
             member.compare(member.size() - 6, 6, "_total") == 0)
             member.resize(member.size() - 6);
-        if (!e.labels.empty())
-            member += labelSuffix(e.labels);
+        member += e.labelText;
 
         if (group != openGroup) {
             if (!openGroup.empty())

@@ -20,10 +20,18 @@
  *     value}}, with the "_total" counter suffix stripped — exactly the
  *     shape /statsz has always served, now derived from the registry.
  *
- * Registration takes a mutex; reads of the metric maps at render time
- * take the same mutex. Collectors — callbacks that refresh pull-style
- * values (e.g. mirroring a subsystem's internal struct counters into
- * the registry) — run at the start of every render and are removable,
+ * Registration takes a mutex and builds each series' exposition text
+ * up to its value (the HELP/TYPE header, and one line prefix per
+ * sample: "name{labels} ", or per histogram bucket "name_bucket{labels,
+ * le=\"b\"} " plus _sum and _count); renderPrometheus() takes the same
+ * mutex and only appends those prefixes and the current numbers into
+ * one reserved string. Callers that observe on a request path resolve
+ * their metric reference once and keep it: the reference is stable, and
+ * updating through it takes no lock.
+ *
+ * Collectors — callbacks that refresh pull-style values (e.g.
+ * mirroring a subsystem's internal struct counters into the registry)
+ * — run at the start of every render and are removable,
  * so an object whose lifetime is shorter than the registry can
  * register one safely (see CollectorHandle).
  *
@@ -268,7 +276,16 @@ class Registry
         Kind kind;
         std::string name;
         Labels labels;
-        std::string help;
+        /** "# HELP" (when help is set) and "# TYPE" lines. */
+        std::string header;
+        /** Serialized labels, "{a=\"x\",b=\"y\"}" or "". */
+        std::string labelText;
+        /**
+         * Each sample line's text before its value (see file comment):
+         * one for a counter or gauge; for a histogram one per bound,
+         * then +Inf, _sum and _count.
+         */
+        std::vector<std::string> linePrefixes;
         std::unique_ptr<Counter> counter;
         std::unique_ptr<Gauge> gauge;
         std::unique_ptr<Histogram> histogram;
@@ -283,6 +300,8 @@ class Registry
     mutable std::mutex mutex_;
     /** Keyed by name + '\0' + serialized labels: family-sorted. */
     std::map<std::string, Entry> metrics_;
+    /** Upper bound on renderPrometheus() output, kept by findOrCreate. */
+    size_t textBytes_ = 0;
     std::vector<std::pair<uint64_t, std::function<void()>>> collectors_;
     uint64_t nextCollectorId_ = 1;
 };

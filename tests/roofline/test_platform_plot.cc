@@ -2,7 +2,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include <gtest/gtest.h>
@@ -230,6 +232,35 @@ TEST(Plot, RejectsDegeneratePoints)
     plot.addPoint("inf", std::numeric_limits<double>::infinity(), 1e9);
     plot.addPoint("zero-oi", 0.0, 1e9);
     plot.addPoint("zero-perf", 1.0, 0.0);
+    EXPECT_TRUE(plot.points().empty());
+}
+
+TEST(Plot, InCachePointsSkipQuietlyDegenerateOnesWarn)
+{
+    // A warm point with zero DRAM traffic (I = +inf) is a normal
+    // result and is skipped without a line on stderr; NaN, zero and
+    // negative inputs each still warn.
+    RooflinePlot plot("test", toyModel());
+    ::testing::internal::CaptureStderr();
+    plot.addPoint("in-cache", std::numeric_limits<double>::infinity(),
+                  1e9);
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+
+    const std::pair<double, double> degenerate[] = {
+        {std::numeric_limits<double>::quiet_NaN(), 1e9},
+        {0.0, 1e9},
+        {-1.0, 1e9},
+        {1.0, 0.0},
+        {1.0, -1e9},
+        {std::numeric_limits<double>::infinity(), 0.0},
+    };
+    for (const auto &[oi, perf] : degenerate) {
+        ::testing::internal::CaptureStderr();
+        plot.addPoint("bad", oi, perf);
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(err.find("skipping point 'bad'"), std::string::npos)
+            << "I=" << oi << " P=" << perf << ": '" << err << "'";
+    }
     EXPECT_TRUE(plot.points().empty());
 }
 

@@ -7,11 +7,15 @@
  * for the same spec.
  */
 
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -23,6 +27,7 @@
 #include "service/job_queue.hh"
 #include "service/session.hh"
 #include "support/json.hh"
+#include "telemetry/metrics.hh"
 
 namespace
 {
@@ -460,6 +465,96 @@ TEST_F(HttpServiceTest, MetricszCountersMoveAcrossSubmitToDone)
     EXPECT_NE(resp.body.find("\"name\":\"simulate\""),
               std::string::npos)
         << "executor-level spans must ride the job's tracer";
+}
+
+
+TEST_F(HttpServiceTest, MetricszScrapesWhileSeriesRegisterAndObserve)
+{
+    // Scrapes race with threads that register fresh series (labeled
+    // histograms, and endpoint series on their first request) and
+    // observe into them. Every scrape must parse line by line, and the
+    // last one carries every observation. Under ThreadSanitizer this
+    // is the race test for render, registration and observe.
+    constexpr int kThreads = 4;
+    constexpr int kSeries = 50;
+    constexpr int kObservations = 40;
+    const char *const paths[] = {"/healthz", "/statsz", "/tracez",
+                                 "/seriesz", "/nope",
+                                 "/v1/campaigns/0123456789abcdef"};
+    std::atomic<bool> go{false};
+    std::atomic<int> running{kThreads};
+    std::vector<std::thread> writers;
+    for (int t = 0; t < kThreads; ++t) {
+        writers.emplace_back([&, t] {
+            while (!go.load())
+                std::this_thread::yield();
+            for (int i = 0; i < kSeries; ++i) {
+                telemetry::Histogram &h =
+                    telemetry::Registry::global().histogram(
+                        "rfl_test_scrape_race_seconds", "race",
+                        {{"series", std::to_string(t * kSeries + i)}});
+                for (int k = 0; k < kObservations; ++k)
+                    h.observe(1e-3);
+                HttpRequest req;
+                req.method = "GET";
+                req.target = req.path =
+                    paths[(t + i) % std::size(paths)];
+                req.clientAddr = "127.0.0.1";
+                (void)api_->handle(req);
+            }
+            running.fetch_sub(1);
+        });
+    }
+
+    HttpClient client("127.0.0.1", server_->port());
+    const auto scrapeParses = [&](std::string *text) {
+        ClientResponse resp;
+        if (!client.request("GET", "/metricsz", &resp) ||
+            resp.status != 200)
+            return false;
+        std::istringstream lines(resp.body);
+        for (std::string line; std::getline(lines, line);) {
+            if (line.rfind("# HELP ", 0) == 0 ||
+                line.rfind("# TYPE ", 0) == 0)
+                continue;
+            const size_t sp = line.rfind(' ');
+            if (sp == std::string::npos || sp == 0)
+                return false;
+            const std::string value = line.substr(sp + 1);
+            char *end = nullptr;
+            std::strtod(value.c_str(), &end);
+            if (value.empty() || *end != '\0')
+                return false;
+        }
+        *text = resp.body;
+        return true;
+    };
+    std::string text;
+    ASSERT_TRUE(scrapeParses(&text)); // connection up before the race
+    go.store(true);
+    bool parsed = true;
+    while (parsed && running.load() > 0)
+        parsed = scrapeParses(&text);
+    for (std::thread &w : writers)
+        w.join();
+    ASSERT_TRUE(parsed) << "a scrape during the race did not parse";
+    ASSERT_TRUE(scrapeParses(&text));
+    for (int s = 0; s < kThreads * kSeries; ++s) {
+        EXPECT_NE(text.find("rfl_test_scrape_race_seconds_count{series=\"" +
+                            std::to_string(s) + "\"} " +
+                            std::to_string(kObservations) + "\n"),
+                  std::string::npos)
+            << "series " << s;
+    }
+    for (const char *endpoint : {"/healthz", "/statsz", "/tracez",
+                                 "/seriesz", "other",
+                                 "/v1/campaigns/{id}"}) {
+        EXPECT_NE(text.find(std::string("rfl_http_request_seconds_count"
+                                        "{endpoint=\"") +
+                            endpoint + "\"}"),
+                  std::string::npos)
+            << endpoint;
+    }
 }
 
 } // namespace

@@ -5,15 +5,19 @@
  */
 
 #include <chrono>
+#include <filesystem>
 #include <iterator>
 #include <string>
 #include <thread>
 #include <utility>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "service/job_queue.hh"
 #include "support/failpoint.hh"
+#include "support/logging.hh"
 
 namespace
 {
@@ -189,6 +193,46 @@ TEST(ServiceJobQueue, WorkerFailureSurfacesAsFailedJob)
     EXPECT_EQ(retry.kind, SubmitOutcome::Kind::Accepted);
     EXPECT_EQ(retry.id, o.id);
     ASSERT_TRUE(queue.waitFor(retry.id, 60.0));
+}
+
+TEST(ServiceJobQueue, TraceWriteFailureFailsTicketAndQueueServes)
+{
+    // A trace-record job whose trace write fails unwinds through its
+    // SimEngine. The engine's destructor must not write (and throw)
+    // again mid-unwind: the ticket ends failed and the worker serves
+    // the next spec.
+    const std::string traceDir = ::testing::TempDir() +
+                                 "rfl-queue-trace-fail-" +
+                                 std::to_string(::getpid());
+    JobQueueOptions opts;
+    opts.workers = 1;
+    opts.exec.threads = 1;
+    opts.exec.traceDir = traceDir;
+    JobQueue queue(opts);
+    const bool wasThrowing = rfl::setFatalThrows(true);
+    ASSERT_TRUE(rfl::failpoint::arm("trace.write", "error"));
+
+    const SubmitOutcome o = queue.submit(
+        "name = queue-trace-fail\n"
+        "machine = small\n"
+        "trace = daxpy:n=65536\n"
+        "variant = cold-1c: protocol=cold cores=0 reps=1\n");
+    ASSERT_EQ(o.kind, SubmitOutcome::Kind::Accepted);
+    ASSERT_TRUE(queue.waitFor(o.id, 60.0));
+    rfl::failpoint::disarm("trace.write");
+    JobStatus st;
+    ASSERT_TRUE(queue.status(o.id, &st));
+    EXPECT_EQ(st.state, JobState::Failed);
+    EXPECT_NE(st.error.find("short write"), std::string::npos)
+        << "error: " << st.error;
+
+    const SubmitOutcome next = queue.submit(kSmallSpec);
+    ASSERT_EQ(next.kind, SubmitOutcome::Kind::Accepted);
+    ASSERT_TRUE(queue.waitFor(next.id, 60.0));
+    ASSERT_TRUE(queue.status(next.id, &st));
+    EXPECT_EQ(st.state, JobState::Done) << "error: " << st.error;
+    rfl::setFatalThrows(wasThrowing);
+    std::filesystem::remove_all(traceDir);
 }
 
 TEST(ServiceJobQueue, FinishedJobsEvictedBeyondRetentionBound)

@@ -15,7 +15,8 @@
 #     rfl_retry_* families, and SIGTERM still exits 0;
 #   * the roofline_campaign CLI exits 1, never aborts, on an injected
 #     simulate fault (error or throw) and on a deadline that expires
-#     mid-simulation.
+#     mid-simulation, and prints the fatal line of concurrently failing
+#     jobs exactly once.
 # Run by CI in both the Release and ASan/UBSan jobs:
 #   tools/chaos_smoke.sh <build-dir>
 set -euo pipefail
@@ -226,6 +227,12 @@ expect_exit1() { # expect_exit1 <label> <stderr-pattern> <env...>
 printf '%s\n' "$SPEC_PATIENT" > "$WORK/cli_spec"
 expect_exit1 "simulate=error" "injected fault" \
     RFL_OUT_DIR="$WORK/cli" RFL_FAILPOINTS=job.simulate=error
+# Several jobs fail at once (probe and measure run side by side); the
+# error reaches the main thread once and the process exits once.
+FATAL_LINES=$(grep -c "fatal: campaign: injected fault" "$WORK/cli.err" ||
+    true)
+[ "$FATAL_LINES" = 1 ] || { echo "FAIL: simulate=error printed the" \
+    "fatal line $FATAL_LINES times, want 1"; cat "$WORK/cli.err"; exit 1; }
 expect_exit1 "simulate=throw" "failpoint 'job.simulate'" \
     RFL_OUT_DIR="$WORK/cli" RFL_FAILPOINTS=job.simulate=throw
 # A budget that expires while daxpy streams 128 MiB through the
