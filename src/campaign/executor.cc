@@ -1,10 +1,12 @@
 #include "campaign/executor.hh"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <mutex>
 #include <optional>
 #include <random>
@@ -13,7 +15,6 @@
 #include "kernels/engine.hh"
 #include "kernels/registry.hh"
 #include "pmu/perf_backend.hh"
-#include "roofline/experiment.hh"
 #include "roofline/native_measurement.hh"
 #include "roofline/platform.hh"
 #include "support/address_arena.hh"
@@ -48,39 +49,46 @@ struct RunState
     telemetry::ResourceDelta resources; // run totals, under mutex
 };
 
+/** Number of JobKind values (NativeMeasure is the last). */
+constexpr size_t kJobKinds = static_cast<size_t>(JobKind::NativeMeasure) + 1;
+
 /** Process-global campaign metrics; registered once, bumped per job. */
 struct CampaignMetrics
 {
     telemetry::Counter &cacheHits;
     telemetry::Counter &cacheMisses;
     telemetry::Histogram &jobSeconds;
+    telemetry::Gauge &jobMaxRss;
+    /** rfl_job_cpu_seconds{kind=}, indexed by JobKind. */
+    std::array<telemetry::Histogram *, kJobKinds> jobCpuSeconds;
 };
 
 CampaignMetrics &
 campaignMetrics()
 {
-    telemetry::Registry &reg = telemetry::Registry::global();
-    static CampaignMetrics m{
-        reg.counter("rfl_campaign_cache_hits_total",
-                    "campaign jobs answered by the result cache"),
-        reg.counter("rfl_campaign_cache_misses_total",
-                    "campaign jobs that had to execute"),
-        reg.histogram("rfl_campaign_job_seconds",
-                      "host wall seconds per executed campaign job"),
-    };
+    static CampaignMetrics m = [] {
+        telemetry::Registry &reg = telemetry::Registry::global();
+        CampaignMetrics init{
+            reg.counter("rfl_campaign_cache_hits_total",
+                        "campaign jobs answered by the result cache"),
+            reg.counter("rfl_campaign_cache_misses_total",
+                        "campaign jobs that had to execute"),
+            reg.histogram("rfl_campaign_job_seconds",
+                          "host wall seconds per executed campaign job"),
+            reg.gauge("rfl_job_maxrss_bytes",
+                      "process peak RSS observed at the end of the most "
+                      "recent campaign job"),
+            {},
+        };
+        for (size_t k = 0; k < kJobKinds; ++k)
+            init.jobCpuSeconds[k] = &reg.histogram(
+                "rfl_job_cpu_seconds",
+                "thread CPU seconds (user+system) per executed campaign "
+                "job",
+                {{"kind", jobKindName(static_cast<JobKind>(k))}});
+        return init;
+    }();
     return m;
-}
-
-/** rfl_job_cpu_seconds{kind=}: registration is idempotent, so looking
- *  it up per finished job is just a map find under the registry lock —
- *  negligible next to a simulation job. */
-telemetry::Histogram &
-jobCpuHistogram(const char *kind)
-{
-    return telemetry::Registry::global().histogram(
-        "rfl_job_cpu_seconds",
-        "thread CPU seconds (user+system) per executed campaign job",
-        {{"kind", kind}});
 }
 
 /**
@@ -114,18 +122,57 @@ class StageSpan
 };
 
 /**
- * Between-stage seam of a job: deadline check plus named fault
- * injection. An error-action failpoint fails the job via fatal()
- * (which throws in service mode), a throw-action one throws
+ * The one entry into a job stage: a deadline check and the named
+ * failpoint, then @p body inside a StageSpan called @p name; @return
+ * what @p body returns. An error-action failpoint fails the job via
+ * fatal() (which throws in service mode), a throw-action one throws
  * FailpointError directly; either way the job fails cleanly between
  * stages, never mid-simulation.
  */
-void
-stageGate(const char *failpointName, const char *stage)
+template <typename Body>
+auto
+stage(const char *failpointName, const char *name, Body &&body)
 {
-    checkCancelled(stage);
+    checkCancelled(name);
     if (failpoint::fire(failpointName))
-        fatal("campaign: injected fault before %s stage", stage);
+        fatal("campaign: injected fault before %s stage", name);
+    StageSpan span(name);
+    return body();
+}
+
+/** A machine of @p config under the variant's NUMA policy and
+ *  prefetch switch. */
+std::unique_ptr<sim::Machine>
+buildMachine(const sim::MachineConfig &config, const RunOptions &opts)
+{
+    auto machine = std::make_unique<sim::Machine>(config);
+    machine->setMemPolicy(opts.memPolicy);
+    machine->setPrefetchEnabled(opts.prefetchEnabled);
+    return machine;
+}
+
+/**
+ * Measure one kernel on a machine of its own (Measure and TraceReplay
+ * jobs): @p makeKernel runs in the machine-build stage, the
+ * measurement in the simulate stage, both inside one canonical
+ * address space so the result is reproducible across processes, heap
+ * states and host threads (see support/address_arena.hh).
+ */
+roofline::Measurement
+measureKernel(
+    const std::function<std::unique_ptr<kernels::Kernel>()> &makeKernel,
+    const sim::MachineConfig &config, const RunOptions &opts,
+    const roofline::MeasureOptions &mopts)
+{
+    AddressArena::Scope addresses;
+    std::unique_ptr<kernels::Kernel> kernel;
+    const auto machine = stage("job.machine-build", "machine-build", [&] {
+        kernel = makeKernel();
+        return buildMachine(config, opts);
+    });
+    roofline::Measurer measurer(*machine);
+    return stage("job.simulate", "simulate",
+                 [&] { return measurer.measure(*kernel, mopts); });
 }
 
 /**
@@ -161,42 +208,48 @@ recordTrace(const sim::MachineConfig &config, const std::string &spec,
         ".tmp";
 
     const TraceRecordParams params = traceRecordParams(config);
-    std::optional<sim::Machine> machine;
     AddressArena::Scope scope;
     std::unique_ptr<kernels::Kernel> kernel;
-    stageGate("job.machine-build", "machine-build");
-    {
-        StageSpan build("machine-build");
-        machine.emplace(config);
+    const auto machine = stage("job.machine-build", "machine-build", [&] {
+        auto built = std::make_unique<sim::Machine>(config);
         kernel = kernels::createKernel(spec);
         kernel->init(params.seed);
-        machine->setDependentAccesses(kernel->dependentAccesses());
-    }
-
-    trace::TraceWriter writer(tmp);
-    writer.setDependentAccesses(kernel->dependentAccesses());
-    stageGate("job.simulate", "simulate");
-    {
-        StageSpan sim("simulate");
-        kernels::SimEngine engine(*machine, 0, params.lanes,
-                                  /*use_fma=*/true);
-        engine.setTraceWriter(&writer);
-        kernel->run(engine, 0, 1);
-    }
-
-    stageGate("job.encode", "encode");
-    StageSpan encode("encode");
-    writer.finish();
+        built->setDependentAccesses(kernel->dependentAccesses());
+        return built;
+    });
 
     TraceInfo info;
-    info.summary = writer.summary();
-    info.path = trace_dir + "/" + hashToHex(info.summary.hash) +
-                ".rfltrace";
-    std::error_code ec;
-    fs::rename(tmp, info.path, ec);
-    if (ec) {
-        fatal("campaign: cannot move trace to '%s': %s",
-              info.path.c_str(), ec.message().c_str());
+    try {
+        trace::TraceWriter writer(tmp);
+        writer.setDependentAccesses(kernel->dependentAccesses());
+        stage("job.simulate", "simulate", [&] {
+            kernels::SimEngine engine(*machine, 0, params.lanes,
+                                      /*use_fma=*/true);
+            engine.setTraceWriter(&writer);
+            kernel->run(engine, 0, 1);
+            // The last batch is written here, not by the engine's
+            // destructor: a failed write must propagate, and a
+            // destructor that throws terminates the process.
+            engine.flush();
+        });
+        stage("job.encode", "encode", [&] {
+            writer.finish();
+            info.summary = writer.summary();
+            info.path = trace_dir + "/" + hashToHex(info.summary.hash) +
+                        ".rfltrace";
+            std::error_code ec;
+            fs::rename(tmp, info.path, ec);
+            if (ec) {
+                fatal("campaign: cannot move trace to '%s': %s",
+                      info.path.c_str(), ec.message().c_str());
+            }
+        });
+    } catch (...) {
+        // A failed, cancelled or timed-out recording must not leave
+        // its scratch file in the shared trace directory.
+        std::error_code ignored;
+        fs::remove(tmp, ignored);
+        throw;
     }
     return info;
 }
@@ -210,7 +263,41 @@ traceFileValid(const TraceInfo &info)
            reader.stableHash() == info.summary.hash;
 }
 
-/** Execute one job (cache lookup, else simulate + store).
+/** Decode a cached @p payload into the field @p kind fills; JsonError
+ *  on a payload of another shape. */
+void
+decodePayload(JobKind kind, const std::string &payload, JobResult &result)
+{
+    switch (kind) {
+      case JobKind::Ceiling:
+        result.model = decodeModel(payload);
+        return;
+      case JobKind::TraceRecord:
+        result.trace = decodeTraceInfo(payload);
+        return;
+      case JobKind::PhaseSample:
+        result.phases = decodePhaseTrajectory(payload);
+        return;
+      default:
+        result.measurement = decodeMeasurement(payload);
+        return;
+    }
+}
+
+/** The cache payload of the field @p kind fills (decodePayload()'s
+ *  inverse). */
+std::string
+encodePayload(JobKind kind, const JobResult &result)
+{
+    switch (kind) {
+      case JobKind::Ceiling: return encodeModel(result.model);
+      case JobKind::TraceRecord: return encodeTraceInfo(result.trace);
+      case JobKind::PhaseSample: return encodePhaseTrajectory(result.phases);
+      default: return encodeMeasurement(result.measurement);
+    }
+}
+
+/** Execute one job (cache lookup, else its stages, then the store).
  *  @p results carries completed dependencies (a replay reads its
  *  recording's file path from them, a ceiling fold its probes'
  *  results). */
@@ -230,24 +317,12 @@ executeJob(const CampaignSpec &spec, const Job &job,
             result.fromCache = true;
             bool valid = true;
             try {
-                switch (job.kind) {
-                  case JobKind::Ceiling:
-                    result.model = decodeModel(payload);
-                    break;
-                  case JobKind::TraceRecord:
-                    // A cached recording is only as good as the file it
-                    // points at: someone may have pruned the trace
-                    // directory.
-                    result.trace = decodeTraceInfo(payload);
+                decodePayload(job.kind, payload, result);
+                // A cached recording is only as good as the file it
+                // points at: someone may have pruned the trace
+                // directory.
+                if (job.kind == JobKind::TraceRecord)
                     valid = traceFileValid(result.trace);
-                    break;
-                  case JobKind::PhaseSample:
-                    result.phases = decodePhaseTrajectory(payload);
-                    break;
-                  default:
-                    result.measurement = decodeMeasurement(payload);
-                    break;
-                }
             } catch (const JsonError &) {
                 // A payload of another shape (corrupt, or written by
                 // another schema) is recomputed like a stale trace.
@@ -267,7 +342,8 @@ executeJob(const CampaignSpec &spec, const Job &job,
     }
     campaignMetrics().cacheMisses.inc();
 
-    const MachineEntry &machine = spec.machines()[job.machineIndex];
+    const sim::MachineConfig &config =
+        spec.machines()[job.machineIndex].config;
     const RunOptions &opts = spec.variants()[job.variantIndex].opts;
 
     switch (job.kind) {
@@ -275,22 +351,17 @@ executeJob(const CampaignSpec &spec, const Job &job,
         if (job.ceilingPart != CeilingPart::Fold) {
             // A probe runs on a machine of its own and stores nothing:
             // its fold stores the whole model.
-            std::optional<sim::Machine> sim_machine;
-            stageGate("job.machine-build", "machine-build");
-            {
-                StageSpan build("machine-build");
-                sim_machine.emplace(machine.config);
-                sim_machine->setMemPolicy(opts.memPolicy);
-                sim_machine->setPrefetchEnabled(opts.prefetchEnabled);
-            }
-            roofline::PlatformProbe probe(*sim_machine);
-            stageGate("job.simulate", "simulate");
-            StageSpan sim("simulate");
-            if (job.ceilingPart == CeilingPart::Compute)
-                result.model = probe.computeCeilings(opts.measure.cores);
-            else
-                result.bandwidth =
-                    probe.bandwidthPeak(opts.measure.cores, job.flavor);
+            const auto machine =
+                stage("job.machine-build", "machine-build",
+                      [&] { return buildMachine(config, opts); });
+            roofline::PlatformProbe probe(*machine);
+            stage("job.simulate", "simulate", [&] {
+                if (job.ceilingPart == CeilingPart::Compute)
+                    result.model = probe.computeCeilings(opts.measure.cores);
+                else
+                    result.bandwidth =
+                        probe.bandwidthPeak(opts.measure.cores, job.flavor);
+            });
             break;
         }
         // deps = {compute probe, bandwidth probes in allBwProbes()
@@ -310,105 +381,47 @@ executeJob(const CampaignSpec &spec, const Job &job,
             result.model = roofline::foldCeilings(
                 results[job.deps.front()].model, bandwidth);
         }
-        if (cache) {
-            stageGate("job.encode", "encode");
-            StageSpan encode("encode");
-            cache->store(job.cacheKey, encodeModel(result.model));
-        }
         break;
       }
-      case JobKind::Measure: {
-        std::optional<roofline::Experiment> exp;
-        stageGate("job.machine-build", "machine-build");
-        {
-            StageSpan build("machine-build");
-            exp.emplace(machine.config);
-            exp->machine().setMemPolicy(opts.memPolicy);
-            exp->machine().setPrefetchEnabled(opts.prefetchEnabled);
-        }
-        stageGate("job.simulate", "simulate");
-        {
-            StageSpan sim("simulate");
-            result.measurement = exp->measureSpec(
-                spec.kernels()[job.kernelIndex], opts.measure);
-        }
-        if (cache) {
-            stageGate("job.encode", "encode");
-            StageSpan encode("encode");
-            cache->store(job.cacheKey,
-                         encodeMeasurement(result.measurement));
-        }
+      case JobKind::Measure:
+        result.measurement = measureKernel(
+            [&] {
+                return kernels::createKernel(
+                    spec.kernels()[job.kernelIndex]);
+            },
+            config, opts, opts.measure);
         break;
-      }
-      case JobKind::TraceRecord: {
+      case JobKind::TraceRecord:
         result.trace =
-            recordTrace(machine.config, spec.traces()[job.kernelIndex],
+            recordTrace(config, spec.traces()[job.kernelIndex],
                         exec_opts.traceDir, job.id);
-        if (cache) {
-            stageGate("job.encode", "encode");
-            StageSpan encode("encode");
-            cache->store(job.cacheKey, encodeTraceInfo(result.trace));
-        }
         break;
-      }
       case JobKind::TraceReplay: {
         // deps = {ceiling, record}; only the record gates this job, and
         // it ran first and left the trace file behind.
         RFL_ASSERT(job.deps.size() == 2);
-        const TraceInfo &info = results[job.deps[1]].trace;
-        std::optional<trace::TraceKernel> kernel;
-        std::optional<sim::Machine> sim_machine;
-        stageGate("job.machine-build", "machine-build");
-        {
-            StageSpan build("machine-build");
-            kernel.emplace(info.path);
-            sim_machine.emplace(machine.config);
-            sim_machine->setMemPolicy(opts.memPolicy);
-            sim_machine->setPrefetchEnabled(opts.prefetchEnabled);
-        }
-        roofline::Measurer measurer(*sim_machine);
+        const std::string &path = results[job.deps[1]].trace.path;
         // Replay is single-stream: run on the variant's first core.
         roofline::MeasureOptions mopts = opts.measure;
         mopts.cores = {opts.measure.cores.front()};
-        stageGate("job.simulate", "simulate");
-        {
-            StageSpan sim("simulate");
-            result.measurement = measurer.measure(*kernel, mopts);
-        }
+        result.measurement = measureKernel(
+            [&] { return std::make_unique<trace::TraceKernel>(path); },
+            config, opts, mopts);
         // Label the measurement by what was traced, not the replay
         // mechanism, so sinks show "trace(daxpy:n=65536)" rows.
         result.measurement.kernel =
             "trace(" + spec.traces()[job.kernelIndex] + ")";
-        if (cache) {
-            stageGate("job.encode", "encode");
-            StageSpan encode("encode");
-            cache->store(job.cacheKey,
-                         encodeMeasurement(result.measurement));
-        }
         break;
       }
       case JobKind::PhaseSample: {
         const PhaseEntry &phase = spec.phases()[job.kernelIndex];
-        std::optional<sim::Machine> sim_machine;
-        stageGate("job.machine-build", "machine-build");
-        {
-            StageSpan build("machine-build");
-            sim_machine.emplace(machine.config);
-            sim_machine->setMemPolicy(opts.memPolicy);
-            sim_machine->setPrefetchEnabled(opts.prefetchEnabled);
-        }
-        stageGate("job.simulate", "simulate");
-        {
-            StageSpan sim("simulate");
-            result.phases = analysis::samplePhasesSpec(
-                *sim_machine, phase.spec, opts.measure, phase.period);
-        }
-        if (cache) {
-            stageGate("job.encode", "encode");
-            StageSpan encode("encode");
-            cache->store(job.cacheKey,
-                         encodePhaseTrajectory(result.phases));
-        }
+        const auto machine =
+            stage("job.machine-build", "machine-build",
+                  [&] { return buildMachine(config, opts); });
+        result.phases = stage("job.simulate", "simulate", [&] {
+            return analysis::samplePhasesSpec(*machine, phase.spec,
+                                              opts.measure, phase.period);
+        });
         break;
       }
       case JobKind::NativeMeasure: {
@@ -417,7 +430,7 @@ executeJob(const CampaignSpec &spec, const Job &job,
         if (!pmu::PerfEventBackend::available()) {
             // Placeholder row: the labels are valid (so every sink and
             // the delta table can name the missing cell) but the
-            // numbers are not. Deliberately NOT cached — a later run
+            // numbers are not, and it is never cached — a later run
             // with PMU access must not hit a hollow entry.
             StageSpan build("machine-build");
             const std::unique_ptr<kernels::Kernel> kernel =
@@ -434,12 +447,10 @@ executeJob(const CampaignSpec &spec, const Job &job,
         }
         std::unique_ptr<kernels::Kernel> kernel;
         std::optional<roofline::NativeMeasurer> measurer;
-        stageGate("job.machine-build", "machine-build");
-        {
-            StageSpan build("machine-build");
+        stage("job.machine-build", "machine-build", [&] {
             kernel = kernels::createKernel(kspec);
             measurer.emplace();
-        }
+        });
         roofline::NativeMeasureOptions nopts;
         nopts.protocol = opts.measure.protocol;
         nopts.repetitions = opts.measure.repetitions;
@@ -451,21 +462,50 @@ executeJob(const CampaignSpec &spec, const Job &job,
         // One host thread per simulated core of the variant.
         nopts.threads = static_cast<int>(opts.measure.cores.size());
         nopts.seed = opts.measure.seed;
-        stageGate("job.simulate", "measure-native");
-        {
-            StageSpan sim("measure-native");
-            m = measurer->measure(*kernel, nopts).base;
-        }
-        if (cache) {
-            stageGate("job.encode", "encode");
-            StageSpan encode("encode");
-            cache->store(job.cacheKey, encodeMeasurement(m));
-        }
+        m = stage("job.simulate", "measure-native",
+                  [&] { return measurer->measure(*kernel, nopts).base; });
         break;
       }
     }
+    // Probes leave the model to their fold, and an unavailable row
+    // (the native placeholder) is never cached.
+    const bool probe =
+        job.kind == JobKind::Ceiling && job.ceilingPart != CeilingPart::Fold;
+    if (cache && !probe && result.measurement.available) {
+        stage("job.encode", "encode", [&] {
+            cache->store(job.cacheKey, encodePayload(job.kind, result));
+        });
+    }
     ++simulated;
     return result;
+}
+
+/** @return the first job of @p run matching @p match; nullptr if none. */
+template <typename Match>
+const Job *
+findJob(const CampaignRun &run, Match &&match)
+{
+    for (const Job &job : run.jobs)
+        if (match(job))
+            return &job;
+    return nullptr;
+}
+
+/** @return the result of the (machine, item, variant) grid cell of
+ *  @p kind; panics when the campaign has no such cell. */
+const JobResult &
+cellResult(const CampaignRun &run, JobKind kind, size_t machineIdx,
+           size_t itemIdx, size_t variantIdx)
+{
+    const Job *job = findJob(run, [&](const Job &j) {
+        return j.kind == kind && j.machineIndex == machineIdx &&
+               j.kernelIndex == itemIdx && j.variantIndex == variantIdx;
+    });
+    if (!job) {
+        panic("campaign: no %s job for machine %zu item %zu variant %zu",
+              jobKindName(kind), machineIdx, itemIdx, variantIdx);
+    }
+    return run.results[job->id];
 }
 
 } // namespace
@@ -474,87 +514,43 @@ const roofline::Measurement &
 CampaignRun::measurementFor(size_t machineIdx, size_t kernelIdx,
                             size_t variantIdx) const
 {
-    for (const Job &job : jobs) {
-        if (job.kind == JobKind::Measure &&
-            job.machineIndex == machineIdx &&
-            job.kernelIndex == kernelIdx &&
-            job.variantIndex == variantIdx) {
-            return results[job.id].measurement;
-        }
-    }
-    panic("campaign: no measurement for machine %zu kernel %zu variant "
-          "%zu",
-          machineIdx, kernelIdx, variantIdx);
+    return cellResult(*this, JobKind::Measure, machineIdx, kernelIdx,
+                      variantIdx)
+        .measurement;
 }
 
 const roofline::Measurement &
 CampaignRun::replayMeasurementFor(size_t machineIdx, size_t traceIdx,
                                   size_t variantIdx) const
 {
-    for (const Job &job : jobs) {
-        if (job.kind == JobKind::TraceReplay &&
-            job.machineIndex == machineIdx &&
-            job.kernelIndex == traceIdx &&
-            job.variantIndex == variantIdx) {
-            return results[job.id].measurement;
-        }
-    }
-    panic("campaign: no replay measurement for machine %zu trace %zu "
-          "variant %zu",
-          machineIdx, traceIdx, variantIdx);
-}
-
-const roofline::Measurement &
-CampaignRun::nativeMeasurementFor(size_t machineIdx, size_t kernelIdx,
-                                  size_t variantIdx) const
-{
-    for (const Job &job : jobs) {
-        if (job.kind == JobKind::NativeMeasure &&
-            job.machineIndex == machineIdx &&
-            job.kernelIndex == kernelIdx &&
-            job.variantIndex == variantIdx) {
-            return results[job.id].measurement;
-        }
-    }
-    panic("campaign: no native measurement for machine %zu kernel %zu "
-          "variant %zu",
-          machineIdx, kernelIdx, variantIdx);
+    return cellResult(*this, JobKind::TraceReplay, machineIdx, traceIdx,
+                      variantIdx)
+        .measurement;
 }
 
 const analysis::PhaseTrajectory &
 CampaignRun::phaseTrajectoryFor(size_t machineIdx, size_t phaseIdx,
                                 size_t variantIdx) const
 {
-    for (const Job &job : jobs) {
-        if (job.kind == JobKind::PhaseSample &&
-            job.machineIndex == machineIdx &&
-            job.kernelIndex == phaseIdx &&
-            job.variantIndex == variantIdx) {
-            return results[job.id].phases;
-        }
-    }
-    panic("campaign: no phase trajectory for machine %zu phase %zu "
-          "variant %zu",
-          machineIdx, phaseIdx, variantIdx);
+    return cellResult(*this, JobKind::PhaseSample, machineIdx, phaseIdx,
+                      variantIdx)
+        .phases;
 }
 
 const roofline::RooflineModel &
 CampaignRun::modelFor(size_t machineIdx, size_t variantIdx) const
 {
-    // The variant's ceiling job is the first dependency of any of its
-    // non-ceiling jobs; find one and follow the edge.
-    for (const Job &job : jobs) {
-        if ((job.kind == JobKind::Measure ||
-             job.kind == JobKind::TraceReplay ||
-             job.kind == JobKind::PhaseSample ||
-             job.kind == JobKind::NativeMeasure) &&
-            job.machineIndex == machineIdx &&
-            job.variantIndex == variantIdx) {
-            return results[job.deps.front()].model;
-        }
+    // Every job of the variant that links a ceiling links the same
+    // fold; find one and follow the link.
+    const Job *job = findJob(*this, [&](const Job &j) {
+        return j.linksCeiling() && j.machineIndex == machineIdx &&
+               j.variantIndex == variantIdx;
+    });
+    if (!job) {
+        panic("campaign: no model for machine %zu variant %zu",
+              machineIdx, variantIdx);
     }
-    panic("campaign: no model for machine %zu variant %zu", machineIdx,
-          variantIdx);
+    return results[JobGraph::ceilingJobFor(*job)].model;
 }
 
 std::vector<roofline::Measurement>
@@ -675,13 +671,11 @@ CampaignExecutor::run(const CampaignSpec &spec,
                 std::snprintf(cpu, sizeof(cpu), "%.6f",
                               res.cpuSeconds());
                 span.attr("cpu_s", cpu);
-                jobCpuHistogram(jobKindName(job.kind))
-                    .observe(res.cpuSeconds());
-                telemetry::Registry::global()
-                    .gauge("rfl_job_maxrss_bytes",
-                           "process peak RSS observed at the end "
-                           "of the most recent campaign job")
-                    .set(static_cast<double>(res.maxrssBytes));
+                CampaignMetrics &metrics = campaignMetrics();
+                metrics.jobCpuSeconds[static_cast<size_t>(job.kind)]
+                    ->observe(res.cpuSeconds());
+                metrics.jobMaxRss.set(
+                    static_cast<double>(res.maxrssBytes));
             }
         } catch (...) {
             // The pool keeps (and rethrows) only the first

@@ -2,11 +2,21 @@
  * @file
  * Campaign executor: runs a JobGraph across host threads.
  *
- * Each job executes on its own Experiment (own sim::Machine built from
- * the job's machine config), so jobs share no mutable state and the
- * expansion is embarrassingly parallel: the simulator is deterministic
- * and its timing model is independent of host wall time, which makes the
- * aggregated results identical for any thread count.
+ * Every job kind runs one stage protocol. A cache probe comes first; a
+ * hit answers the job. Otherwise the job runs the stages its kind
+ * needs — machine-build, simulate (measure-native for hardware rows)
+ * and encode — each entered through one gate that checks the job's
+ * deadline, fires the stage's failpoint (job.machine-build,
+ * job.simulate, job.encode) and opens the stage's span. The result is
+ * stored in the cache once, after the last stage; ceiling probes and
+ * unavailable hardware rows store nothing.
+ *
+ * Each job builds its own sim::Machine from the job's machine config
+ * under the variant's NUMA policy and prefetch switch, so jobs share no
+ * mutable state and the expansion is embarrassingly parallel: the
+ * simulator is deterministic and its timing model is independent of
+ * host wall time, which makes the aggregated results identical for any
+ * thread count.
  *
  * Scheduling: jobs whose data deps are satisfied are submitted to the
  * ThreadPool (a job's link to its ceiling fold is not waited for; see
@@ -125,14 +135,6 @@ struct CampaignRun
     /** Replay measurement of traces()[traceIdx]; panics when absent. */
     const roofline::Measurement &
     replayMeasurementFor(size_t machineIdx, size_t traceIdx,
-                         size_t variantIdx) const;
-
-    /** Hardware (backend = perf) measurement of one grid cell; panics
-     *  when the spec has no perf backend or indices are invalid. An
-     *  unavailable-host placeholder row still counts (check its
-     *  available flag). */
-    const roofline::Measurement &
-    nativeMeasurementFor(size_t machineIdx, size_t kernelIdx,
                          size_t variantIdx) const;
 
     /** Phase trajectory of phases()[phaseIdx]; panics when absent. */

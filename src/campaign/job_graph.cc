@@ -47,10 +47,16 @@ jobKindName(JobKind kind)
     return "?";
 }
 
+bool
+Job::linksCeiling() const
+{
+    return kind != JobKind::Ceiling && kind != JobKind::TraceRecord;
+}
+
 std::vector<size_t>
 Job::dataDeps() const
 {
-    if (kind == JobKind::Ceiling || deps.empty())
+    if (!linksCeiling())
         return deps;
     return {deps.begin() + 1, deps.end()};
 }
@@ -218,30 +224,40 @@ JobGraph::expand(const CampaignSpec &spec)
     }
     const size_t folds = graph.jobs_.size();
 
-    // Measure jobs: machines x kernels x variants, each linking its
-    // scenario's ceiling job. Skipped when the spec selects hardware
-    // rows only (backend = perf without sim).
-    const size_t simKernels =
-        spec.hasBackend("sim") ? spec.kernels().size() : 0;
-    for (size_t mi = 0; mi < spec.machines().size(); ++mi) {
-        for (size_t ki = 0; ki < simKernels; ++ki) {
-            for (size_t vi = 0; vi < spec.variants().size(); ++vi) {
-                const Variant &v = spec.variants()[vi];
-                Job job;
-                job.id = graph.jobs_.size();
-                job.kind = JobKind::Measure;
-                job.machineIndex = mi;
-                job.kernelIndex = ki;
-                job.variantIndex = vi;
-                job.cacheKey = measureCacheKey(
-                    spec.machines()[mi].config, spec.kernels()[ki],
-                    v.opts);
-                job.deps.push_back(
-                    ceilings.at({mi, ceilingSignature(v.opts)}));
-                graph.jobs_.push_back(std::move(job));
+    // One job of @p kind per (machine, item, variant), linking its
+    // scenario's ceiling fold first (ceilingJobFor follows
+    // deps.front()); @p finish sets the cache key and any further
+    // deps. The Measure, TraceReplay, PhaseSample and NativeMeasure
+    // grids all expand through here.
+    const auto addGrid = [&](JobKind kind, size_t items, auto &&finish) {
+        for (size_t mi = 0; mi < spec.machines().size(); ++mi) {
+            for (size_t ii = 0; ii < items; ++ii) {
+                for (size_t vi = 0; vi < spec.variants().size(); ++vi) {
+                    const RunOptions &opts = spec.variants()[vi].opts;
+                    Job job;
+                    job.id = graph.jobs_.size();
+                    job.kind = kind;
+                    job.machineIndex = mi;
+                    job.kernelIndex = ii;
+                    job.variantIndex = vi;
+                    job.deps.push_back(
+                        ceilings.at({mi, ceilingSignature(opts)}));
+                    finish(job, spec.machines()[mi].config, opts);
+                    graph.jobs_.push_back(std::move(job));
+                }
             }
         }
-    }
+    };
+
+    // Measure jobs: skipped when the spec selects hardware rows only
+    // (backend = perf without sim).
+    addGrid(JobKind::Measure,
+            spec.hasBackend("sim") ? spec.kernels().size() : 0,
+            [&](Job &job, const sim::MachineConfig &config,
+                const RunOptions &opts) {
+                job.cacheKey = measureCacheKey(
+                    config, spec.kernels()[job.kernelIndex], opts);
+            });
 
     // Trace-record jobs: one per (machine, trace). The recorded stream
     // is variant-independent (see traceRecordParams), so variants share
@@ -262,51 +278,23 @@ JobGraph::expand(const CampaignSpec &spec)
         }
     }
 
-    // Trace-replay jobs: machines x traces x variants. Dep order is
-    // load-bearing: ceiling first (ceilingJobFor follows deps.front()),
-    // then the recording that supplies the trace file.
-    for (size_t mi = 0; mi < spec.machines().size(); ++mi) {
-        for (size_t ti = 0; ti < spec.traces().size(); ++ti) {
-            for (size_t vi = 0; vi < spec.variants().size(); ++vi) {
-                const Variant &v = spec.variants()[vi];
-                Job job;
-                job.id = graph.jobs_.size();
-                job.kind = JobKind::TraceReplay;
-                job.machineIndex = mi;
-                job.kernelIndex = ti;
-                job.variantIndex = vi;
+    // Trace-replay jobs: the recording that supplies the trace file is
+    // the second dep.
+    addGrid(JobKind::TraceReplay, spec.traces().size(),
+            [&](Job &job, const sim::MachineConfig &config,
+                const RunOptions &opts) {
                 job.cacheKey = traceReplayCacheKey(
-                    spec.machines()[mi].config, spec.traces()[ti],
-                    v.opts);
+                    config, spec.traces()[job.kernelIndex], opts);
                 job.deps.push_back(
-                    ceilings.at({mi, ceilingSignature(v.opts)}));
-                job.deps.push_back(records.at({mi, ti}));
-                graph.jobs_.push_back(std::move(job));
-            }
-        }
-    }
+                    records.at({job.machineIndex, job.kernelIndex}));
+            });
 
-    // Phase-sample jobs: machines x phases x variants, each linking its
-    // scenario's ceiling job (like Measure jobs).
-    for (size_t mi = 0; mi < spec.machines().size(); ++mi) {
-        for (size_t pi = 0; pi < spec.phases().size(); ++pi) {
-            for (size_t vi = 0; vi < spec.variants().size(); ++vi) {
-                const Variant &v = spec.variants()[vi];
-                Job job;
-                job.id = graph.jobs_.size();
-                job.kind = JobKind::PhaseSample;
-                job.machineIndex = mi;
-                job.kernelIndex = pi;
-                job.variantIndex = vi;
+    addGrid(JobKind::PhaseSample, spec.phases().size(),
+            [&](Job &job, const sim::MachineConfig &config,
+                const RunOptions &opts) {
                 job.cacheKey = phaseSampleCacheKey(
-                    spec.machines()[mi].config, spec.phases()[pi],
-                    v.opts);
-                job.deps.push_back(
-                    ceilings.at({mi, ceilingSignature(v.opts)}));
-                graph.jobs_.push_back(std::move(job));
-            }
-        }
-    }
+                    config, spec.phases()[job.kernelIndex], opts);
+            });
 
     // Ceiling probes after every other sim job, longest first (see
     // file comment), each flavor across all folds before the next.
@@ -340,58 +328,37 @@ JobGraph::expand(const CampaignSpec &spec)
     addProbe(CeilingPart::Compute, roofline::BwProbe::Read, 0);
     graph.ceilingJobs_ = folds + graph.jobs_.size() - firstProbe;
 
-    // NativeMeasure jobs last (backend = perf): machines x kernels x
-    // variants, appended after every sim job so sim job ids — and with
-    // them every pre-existing cached artifact — are unchanged by the
-    // presence of hardware rows.
-    if (spec.hasBackend("perf")) {
-        // The cache key deliberately ignores the machine index (the
-        // row measures the host, not the simulated machine), so a
-        // multi-machine spec repeats keys. Chain each duplicate behind
-        // the first job with its key: one native run happens, the rest
-        // replay it from the cache instead of racing it cold.
-        std::map<std::string, size_t> firstByKey;
-        for (size_t mi = 0; mi < spec.machines().size(); ++mi) {
-            for (size_t ki = 0; ki < spec.kernels().size(); ++ki) {
-                for (size_t vi = 0; vi < spec.variants().size(); ++vi) {
-                    const Variant &v = spec.variants()[vi];
-                    Job job;
-                    job.id = graph.jobs_.size();
-                    job.kind = JobKind::NativeMeasure;
-                    job.machineIndex = mi;
-                    job.kernelIndex = ki;
-                    job.variantIndex = vi;
-                    job.cacheKey = nativeMeasureCacheKey(
-                        spec.kernels()[ki], v.opts);
-                    // Ceiling first: ceilingJobFor follows deps.front().
-                    job.deps.push_back(
-                        ceilings.at({mi, ceilingSignature(v.opts)}));
-                    const auto [it, inserted] =
-                        firstByKey.emplace(job.cacheKey, job.id);
-                    if (!inserted)
-                        job.deps.push_back(it->second);
-                    graph.jobs_.push_back(std::move(job));
-                }
-            }
-        }
-    }
+    // NativeMeasure jobs last (backend = perf), appended after every
+    // sim job so sim job ids — and with them every pre-existing cached
+    // artifact — are unchanged by the presence of hardware rows.
+    // The cache key deliberately ignores the machine index (the row
+    // measures the host, not the simulated machine), so a
+    // multi-machine spec repeats keys. Chain each duplicate behind the
+    // first job with its key: one native run happens, the rest replay
+    // it from the cache instead of racing it cold.
+    std::map<std::string, size_t> firstByKey;
+    addGrid(JobKind::NativeMeasure,
+            spec.hasBackend("perf") ? spec.kernels().size() : 0,
+            [&](Job &job, const sim::MachineConfig &,
+                const RunOptions &opts) {
+                job.cacheKey = nativeMeasureCacheKey(
+                    spec.kernels()[job.kernelIndex], opts);
+                const auto [it, inserted] =
+                    firstByKey.emplace(job.cacheKey, job.id);
+                if (!inserted)
+                    job.deps.push_back(it->second);
+            });
     return graph;
 }
 
 size_t
-JobGraph::ceilingJobFor(const Job &job) const
+JobGraph::ceilingJobFor(const Job &job)
 {
-    switch (job.kind) {
-      case JobKind::Ceiling:
+    if (job.kind == JobKind::Ceiling)
         return job.id;
-      case JobKind::TraceRecord:
-        panic("trace-record job #%zu has no ceiling job", job.id);
-      case JobKind::Measure:
-      case JobKind::TraceReplay:
-      case JobKind::PhaseSample:
-      case JobKind::NativeMeasure:
-        break;
-    }
+    if (!job.linksCeiling())
+        panic("%s job #%zu has no ceiling job", jobKindName(job.kind),
+              job.id);
     RFL_ASSERT(!job.deps.empty());
     return job.deps.front();
 }

@@ -114,6 +114,10 @@ struct Job
      *  then its bandwidth probes in allBwProbes() order. */
     std::vector<size_t> deps;
 
+    /** @return whether deps.front() is this job's ceiling link: true
+     *  for every kind but Ceiling and TraceRecord. */
+    bool linksCeiling() const;
+
     /** @return the deps that must complete before this job starts:
      *  all of them but the ceiling link (see file comment). */
     std::vector<size_t> dataDeps() const;
@@ -137,9 +141,9 @@ class JobGraph
 
     /**
      * @return the ceiling fold whose model covers @p job (itself for
-     * Ceiling jobs).
+     * Ceiling jobs); panics for a TraceRecord job, which has none.
      */
-    size_t ceilingJobFor(const Job &job) const;
+    static size_t ceilingJobFor(const Job &job);
 
   private:
     std::vector<Job> jobs_;

@@ -28,6 +28,18 @@ sampleFromJson(const Json &j)
     return s;
 }
 
+/** @return a count as an int; JsonError when it is not a number
+ *  inside int range (converting one outside is undefined). */
+int
+intFromJson(const Json &j)
+{
+    const double v = j.asNumber();
+    if (!(v > std::numeric_limits<int>::min() - 1.0 &&
+          v < std::numeric_limits<int>::max() + 1.0))
+        throw JsonError("count outside int range");
+    return static_cast<int>(v);
+}
+
 } // namespace
 
 std::string
@@ -64,8 +76,8 @@ decodeMeasurement(const std::string &payload)
     m.kernel = j.at("kernel").asString();
     m.sizeLabel = j.at("size").asString();
     m.protocol = j.at("protocol").asString();
-    m.cores = static_cast<int>(j.at("cores").asNumber());
-    m.lanes = static_cast<int>(j.at("lanes").asNumber());
+    m.cores = intFromJson(j.at("cores"));
+    m.lanes = intFromJson(j.at("lanes"));
     m.flops = j.at("flops").asNumber();
     m.trafficBytes = j.at("traffic_bytes").asNumber();
     m.seconds = j.at("seconds").asNumber();

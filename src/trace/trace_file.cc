@@ -1,6 +1,7 @@
 #include "trace/trace_file.hh"
 
 #include <cstring>
+#include <utility>
 
 #include "support/failpoint.hh"
 #include "support/hash.hh"
@@ -310,10 +311,16 @@ TraceWriter::finish()
     finished_ = true;
     scratch_.clear();
     encodeSummary(scratch_, summary_);
-    writeChunk(file_, path_, kEndMagic, 0, scratch_);
-    if (std::fclose(file_) != 0)
+    std::FILE *const file = std::exchange(file_, nullptr);
+    try {
+        writeChunk(file, path_, kEndMagic, 0, scratch_);
+    } catch (...) {
+        // A failed write still releases the descriptor.
+        std::fclose(file);
+        throw;
+    }
+    if (std::fclose(file) != 0)
         fatal("trace: cannot close '%s'", path_.c_str());
-    file_ = nullptr;
 }
 
 bool

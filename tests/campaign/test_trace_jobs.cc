@@ -9,6 +9,7 @@
  * with a variant's (same lanes, same seed, single core), the replay
  * measurement must reproduce the direct kernel measurement number for
  * number — the strongest cross-subsystem check the trace IR admits.
+ * A recording that fails or times out removes its scratch file.
  */
 
 #include <gtest/gtest.h>
@@ -23,6 +24,9 @@
 #include "campaign/job_graph.hh"
 #include "campaign/result_cache.hh"
 #include "campaign/spec.hh"
+#include "support/cancel.hh"
+#include "support/failpoint.hh"
+#include "support/logging.hh"
 #include "trace/trace_file.hh"
 
 namespace
@@ -199,6 +203,93 @@ TEST(TraceJobs, MissingTraceFileIsReRecorded)
         EXPECT_TRUE(std::filesystem::exists(trace_path));
     }
     std::remove(spill.c_str());
+    std::filesystem::remove_all(trace_dir);
+}
+
+/** @return the recordings in progress (or abandoned) under @p dir. */
+size_t
+scratchRecordings(const std::string &dir)
+{
+    size_t n = 0;
+    if (!std::filesystem::exists(dir))
+        return 0;
+    for (const auto &entry : std::filesystem::directory_iterator(dir))
+        if (entry.path().filename().string().rfind(".recording-", 0) == 0)
+            ++n;
+    return n;
+}
+
+/** @return the number of file descriptors this process holds open. */
+size_t
+openFds()
+{
+    size_t n = 0;
+    for ([[maybe_unused]] const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/fd"))
+        ++n;
+    return n;
+}
+
+/** One trace entry and nothing else on the small machine. */
+CampaignSpec
+oneTraceSpec(const std::string &kernel)
+{
+    CampaignSpec spec("trace-scratch");
+    spec.addMachine("small", sim::MachineConfig::smallTestMachine());
+    spec.addTrace(kernel);
+    roofline::MeasureOptions cold;
+    cold.repetitions = 1;
+    cold.cores = {0};
+    spec.addVariant("cold-1c", cold);
+    return spec;
+}
+
+TEST(TraceJobs, FailedRecordingRemovesItsScratchFile)
+{
+    const std::string trace_dir = freshDir("trace-jobs-failed");
+    ExecutorOptions opts;
+    opts.threads = 1;
+    opts.traceDir = trace_dir;
+    const CampaignSpec spec = oneTraceSpec("daxpy:n=2048");
+    const size_t fds = openFds();
+    {
+        // The injected short write fails the run through fatal(), which
+        // throws while a run is in flight in the daemon.
+        const bool wasThrowing = setFatalThrows(true);
+        ASSERT_TRUE(failpoint::arm("trace.write", "error"));
+        EXPECT_THROW(CampaignExecutor(opts).run(spec), FatalError);
+        failpoint::disarmAll();
+        setFatalThrows(wasThrowing);
+    }
+    EXPECT_EQ(scratchRecordings(trace_dir), 0u);
+    EXPECT_EQ(openFds(), fds); // the abandoned recording was closed
+
+    // Without the fault the same spec records and replays normally.
+    const CampaignRun run = CampaignExecutor(opts).run(spec);
+    EXPECT_EQ(run.replayMeasurementFor(0, 0, 0).kernel,
+              "trace(daxpy:n=2048)");
+    for (const Job &job : run.jobs)
+        if (job.kind == JobKind::TraceRecord)
+            EXPECT_TRUE(
+                std::filesystem::exists(run.results[job.id].trace.path));
+    EXPECT_EQ(scratchRecordings(trace_dir), 0u);
+    std::filesystem::remove_all(trace_dir);
+}
+
+TEST(TraceJobs, TimedOutRecordingRemovesItsScratchFile)
+{
+    const std::string trace_dir = freshDir("trace-jobs-timeout");
+    ExecutorOptions opts;
+    // One worker: the recording is the first ready job, so the budget
+    // expires inside it (128 MiB of daxpy operands take far longer
+    // than 50 ms to stream through the simulator).
+    opts.threads = 1;
+    opts.traceDir = trace_dir;
+    opts.jobTimeoutSeconds = 0.05;
+    EXPECT_THROW(
+        CampaignExecutor(opts).run(oneTraceSpec("daxpy:n=8388608")),
+        TimedOutError);
+    EXPECT_EQ(scratchRecordings(trace_dir), 0u);
     std::filesystem::remove_all(trace_dir);
 }
 

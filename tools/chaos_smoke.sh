@@ -16,7 +16,9 @@
 #   * the roofline_campaign CLI exits 1, never aborts, on an injected
 #     simulate fault (error or throw) and on a deadline that expires
 #     mid-simulation, and prints the fatal line of concurrently failing
-#     jobs exactly once.
+#     jobs exactly once;
+#   * a trace recording whose writes fail exits 1 and leaves no
+#     scratch file in the trace directory.
 # Run by CI in both the Release and ASan/UBSan jobs:
 #   tools/chaos_smoke.sh <build-dir>
 set -euo pipefail
@@ -245,4 +247,15 @@ timeout = 0.2
 variant = cold-1c: protocol=cold cores=0 reps=1' > "$WORK/cli_spec"
 expect_exit1 "timeout" "deadline exceeded" \
     RFL_OUT_DIR="$WORK/cli" RFL_FAILPOINTS=
+# A failed recording removes its scratch file: in the daemon every
+# failed attempt would otherwise leave one in the shared trace dir.
+printf '%s\n' 'name = cli-trace-fault
+machine = small
+trace = daxpy:n=65536
+variant = cold-1c: protocol=cold cores=0 reps=1' > "$WORK/cli_spec"
+expect_exit1 "trace.write=error" "short write" \
+    RFL_OUT_DIR="$WORK/cli" RFL_FAILPOINTS=trace.write=error
+LEFT=$(find "$WORK/cli/traces" -name '.recording-*' | wc -l)
+[ "$LEFT" = 0 ] || { echo "FAIL: failed recording left $LEFT" \
+    "scratch file(s)"; ls -A "$WORK/cli/traces"; exit 1; }
 echo "chaos smoke OK"
