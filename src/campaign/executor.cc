@@ -480,32 +480,18 @@ executeJob(const CampaignSpec &spec, const Job &job,
     return result;
 }
 
-/** @return the first job of @p run matching @p match; nullptr if none. */
-template <typename Match>
-const Job *
-findJob(const CampaignRun &run, Match &&match)
-{
-    for (const Job &job : run.jobs)
-        if (match(job))
-            return &job;
-    return nullptr;
-}
-
 /** @return the result of the (machine, item, variant) grid cell of
  *  @p kind; panics when the campaign has no such cell. */
 const JobResult &
 cellResult(const CampaignRun &run, JobKind kind, size_t machineIdx,
            size_t itemIdx, size_t variantIdx)
 {
-    const Job *job = findJob(run, [&](const Job &j) {
-        return j.kind == kind && j.machineIndex == machineIdx &&
-               j.kernelIndex == itemIdx && j.variantIndex == variantIdx;
-    });
-    if (!job) {
-        panic("campaign: no %s job for machine %zu item %zu variant %zu",
-              jobKindName(kind), machineIdx, itemIdx, variantIdx);
-    }
-    return run.results[job->id];
+    for (const Job &job : run.jobs)
+        if (job.kind == kind && job.machineIndex == machineIdx &&
+            job.kernelIndex == itemIdx && job.variantIndex == variantIdx)
+            return run.results[job.id];
+    panic("campaign: no %s job for machine %zu item %zu variant %zu",
+          jobKindName(kind), machineIdx, itemIdx, variantIdx);
 }
 
 } // namespace
@@ -541,16 +527,13 @@ const roofline::RooflineModel &
 CampaignRun::modelFor(size_t machineIdx, size_t variantIdx) const
 {
     // Every job of the variant that links a ceiling links the same
-    // fold; find one and follow the link.
-    const Job *job = findJob(*this, [&](const Job &j) {
-        return j.linksCeiling() && j.machineIndex == machineIdx &&
-               j.variantIndex == variantIdx;
-    });
-    if (!job) {
-        panic("campaign: no model for machine %zu variant %zu",
-              machineIdx, variantIdx);
-    }
-    return results[JobGraph::ceilingJobFor(*job)].model;
+    // fold; follow the first such link.
+    for (const Job &job : jobs)
+        if (job.linksCeiling() && job.machineIndex == machineIdx &&
+            job.variantIndex == variantIdx)
+            return results[JobGraph::ceilingJobFor(job)].model;
+    panic("campaign: no model for machine %zu variant %zu", machineIdx,
+          variantIdx);
 }
 
 std::vector<roofline::Measurement>
