@@ -59,36 +59,49 @@ struct CampaignMetrics
     telemetry::Counter &cacheMisses;
     telemetry::Histogram &jobSeconds;
     telemetry::Gauge &jobMaxRss;
-    /** rfl_job_cpu_seconds{kind=}, indexed by JobKind. */
-    std::array<telemetry::Histogram *, kJobKinds> jobCpuSeconds;
+    /** rfl_job_cpu_seconds{kind=}, indexed by JobKind. A kind's series
+     *  is resolved by its first finished job, so /metricsz lists only
+     *  the kinds that ran. */
+    std::array<std::atomic<telemetry::Histogram *>, kJobKinds>
+        jobCpuSeconds{};
 };
 
 CampaignMetrics &
 campaignMetrics()
 {
-    static CampaignMetrics m = [] {
-        telemetry::Registry &reg = telemetry::Registry::global();
-        CampaignMetrics init{
-            reg.counter("rfl_campaign_cache_hits_total",
-                        "campaign jobs answered by the result cache"),
-            reg.counter("rfl_campaign_cache_misses_total",
-                        "campaign jobs that had to execute"),
-            reg.histogram("rfl_campaign_job_seconds",
-                          "host wall seconds per executed campaign job"),
-            reg.gauge("rfl_job_maxrss_bytes",
-                      "process peak RSS observed at the end of the most "
-                      "recent campaign job"),
-            {},
-        };
-        for (size_t k = 0; k < kJobKinds; ++k)
-            init.jobCpuSeconds[k] = &reg.histogram(
-                "rfl_job_cpu_seconds",
-                "thread CPU seconds (user+system) per executed campaign "
-                "job",
-                {{"kind", jobKindName(static_cast<JobKind>(k))}});
-        return init;
-    }();
+    telemetry::Registry &reg = telemetry::Registry::global();
+    static CampaignMetrics m{
+        reg.counter("rfl_campaign_cache_hits_total",
+                    "campaign jobs answered by the result cache"),
+        reg.counter("rfl_campaign_cache_misses_total",
+                    "campaign jobs that had to execute"),
+        reg.histogram("rfl_campaign_job_seconds",
+                      "host wall seconds per executed campaign job"),
+        reg.gauge("rfl_job_maxrss_bytes",
+                  "process peak RSS observed at the end of the most "
+                  "recent campaign job"),
+    };
     return m;
+}
+
+/** @return rfl_job_cpu_seconds{kind=@p kind}; the registry lock is
+ *  taken only by the first finished job of each kind. */
+telemetry::Histogram &
+jobCpuSeconds(JobKind kind)
+{
+    std::atomic<telemetry::Histogram *> &slot =
+        campaignMetrics().jobCpuSeconds[static_cast<size_t>(kind)];
+    telemetry::Histogram *h = slot.load(std::memory_order_acquire);
+    if (!h) {
+        // Registration is idempotent: racing first jobs get the same
+        // series.
+        h = &telemetry::Registry::global().histogram(
+            "rfl_job_cpu_seconds",
+            "thread CPU seconds (user+system) per executed campaign job",
+            {{"kind", jobKindName(kind)}});
+        slot.store(h, std::memory_order_release);
+    }
+    return *h;
 }
 
 /**
@@ -654,10 +667,8 @@ CampaignExecutor::run(const CampaignSpec &spec,
                 std::snprintf(cpu, sizeof(cpu), "%.6f",
                               res.cpuSeconds());
                 span.attr("cpu_s", cpu);
-                CampaignMetrics &metrics = campaignMetrics();
-                metrics.jobCpuSeconds[static_cast<size_t>(job.kind)]
-                    ->observe(res.cpuSeconds());
-                metrics.jobMaxRss.set(
+                jobCpuSeconds(job.kind).observe(res.cpuSeconds());
+                campaignMetrics().jobMaxRss.set(
                     static_cast<double>(res.maxrssBytes));
             }
         } catch (...) {
