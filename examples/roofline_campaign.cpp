@@ -101,8 +101,7 @@ main(int argc, char **argv)
                   "simulator's hot-path counters");
     cli.addOption("profile-out",
                   "sample the run with the SIGPROF profiler and write "
-                  "profile.json + flamegraph.svg into this directory "
-                  "(requires -DRFL_PROFILER=ON)");
+                  "profile.json + flamegraph.svg into this directory");
     cli.addOption("pmu-probe",
                   "probe the host's perf_event capability (paranoid "
                   "level, per-event liveness), print the event table "
@@ -175,10 +174,6 @@ main(int argc, char **argv)
     const std::string profile_dir = cli.get("profile-out", "");
     bool profiling = false;
     if (!profile_dir.empty()) {
-        if (!telemetry::Profiler::compiledIn()) {
-            fatal("--profile-out requires a build with "
-                  "-DRFL_PROFILER=ON");
-        }
         ensureDirectory(profile_dir);
         profiling = telemetry::Profiler::instance().start({});
         if (!profiling)

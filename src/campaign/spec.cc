@@ -1,6 +1,9 @@
 #include "campaign/spec.hh"
 
 #include <algorithm>
+#include <cerrno>
+#include <climits>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -45,11 +48,23 @@ long
 parseLong(const std::string &key, const std::string &value)
 {
     char *end = nullptr;
+    errno = 0;
     const long v = std::strtol(value.c_str(), &end, 0);
-    if (end == value.c_str() || *end != '\0')
+    if (end == value.c_str() || *end != '\0' || errno == ERANGE)
         fatal("campaign: %s expects an integer, got '%s'", key.c_str(),
               value.c_str());
     return v;
+}
+
+/** parseLong() for an int field; fatal() when the value does not fit. */
+int
+parseInt(const std::string &key, const std::string &value)
+{
+    const long v = parseLong(key, value);
+    if (v < INT_MIN || v > INT_MAX)
+        fatal("campaign: %s=%s is out of range", key.c_str(),
+              value.c_str());
+    return static_cast<int>(v);
 }
 
 /** Apply one "key=value" token of a variant line. */
@@ -69,11 +84,11 @@ applyVariantOption(RunOptions &opts, const std::string &key,
     } else if (key == "cores") {
         opts.measure.cores = parseCoreSet(value);
     } else if (key == "reps") {
-        opts.measure.repetitions = static_cast<int>(parseLong(key, value));
+        opts.measure.repetitions = parseInt(key, value);
     } else if (key == "warmups") {
-        opts.measure.warmupRuns = static_cast<int>(parseLong(key, value));
+        opts.measure.warmupRuns = parseInt(key, value);
     } else if (key == "lanes") {
-        opts.measure.lanes = static_cast<int>(parseLong(key, value));
+        opts.measure.lanes = parseInt(key, value);
     } else if (key == "fma") {
         opts.measure.useFma = parseOnOff(key, value);
     } else if (key == "flush") {
@@ -203,8 +218,8 @@ CampaignSpec::addVariant(const std::string &label,
 CampaignSpec &
 CampaignSpec::setTimeout(double seconds)
 {
-    if (seconds < 0.0)
-        fatal("campaign '%s': timeout must be >= 0, got %g",
+    if (!(seconds >= 0.0) || std::isinf(seconds))
+        fatal("campaign '%s': timeout must be finite and >= 0, got %g",
               name_.c_str(), seconds);
     timeoutSeconds_ = seconds;
     return *this;
@@ -317,8 +332,21 @@ CampaignSpec::validate() const
                       name_.c_str(), p.spec.c_str(), v.label.c_str());
     }
 
+    // Measurement asserts these, and an assertion aborts even the
+    // daemon, so a spec that breaks one is rejected here.
     for (const Variant &v : variants_) {
-        if (v.opts.measure.cores.empty())
+        const roofline::MeasureOptions &measure = v.opts.measure;
+        if (measure.repetitions < 1 || measure.warmupRuns < 0)
+            fatal("campaign '%s': variant '%s' needs reps >= 1 and "
+                  "warmups >= 0",
+                  name_.c_str(), v.label.c_str());
+        const int lanes = measure.lanes;
+        if (lanes != 0 && lanes != 1 && lanes != 2 && lanes != 4 &&
+            lanes != 8)
+            fatal("campaign '%s': variant '%s' lanes must be 0 (machine "
+                  "maximum), 1, 2, 4 or 8",
+                  name_.c_str(), v.label.c_str());
+        if (measure.cores.empty())
             fatal("campaign '%s': variant '%s' has an empty core set",
                   name_.c_str(), v.label.c_str());
         for (const MachineEntry &m : machines_)
@@ -401,9 +429,10 @@ parseCampaignSpec(const std::string &text)
         } else if (key == "timeout") {
             char *end = nullptr;
             const double seconds = std::strtod(value.c_str(), &end);
-            if (end == value.c_str() || *end != '\0' || seconds < 0.0)
-                fatal("campaign line %d: timeout expects seconds >= 0, "
-                      "got '%s'",
+            if (end == value.c_str() || *end != '\0' ||
+                !(seconds >= 0.0) || std::isinf(seconds))
+                fatal("campaign line %d: timeout expects finite seconds "
+                      ">= 0, got '%s'",
                       lineno, value.c_str());
             spec.setTimeout(seconds);
         } else if (key == "machine") {
@@ -506,6 +535,11 @@ loadCampaignSpec(const std::string &path)
 std::vector<int>
 parseCoreSet(const std::string &text)
 {
+    // Ranges expand one id at a time, so the ids a set expands to,
+    // duplicates included, are counted before each expansion: a short
+    // request body must not ask for gigabytes. No machine config comes
+    // near this many cores.
+    constexpr long kMaxCores = 65536;
     std::vector<int> cores;
     std::istringstream in(text);
     std::string part;
@@ -516,7 +550,8 @@ parseCoreSet(const std::string &text)
         char *end = nullptr;
         if (dash == std::string::npos) {
             const long v = std::strtol(part.c_str(), &end, 10);
-            if (end == part.c_str() || *end != '\0' || v < 0)
+            if (end == part.c_str() || *end != '\0' || v < 0 ||
+                v >= kMaxCores)
                 fatal("core set '%s': bad core '%s'", text.c_str(),
                       part.c_str());
             cores.push_back(static_cast<int>(v));
@@ -528,9 +563,13 @@ parseCoreSet(const std::string &text)
                 fatal("core set '%s': bad range start '%s'", text.c_str(),
                       lo_s.c_str());
             const long hi = std::strtol(hi_s.c_str(), &end, 10);
-            if (end == hi_s.c_str() || *end != '\0' || hi < lo)
+            if (end == hi_s.c_str() || *end != '\0' || hi < lo ||
+                hi >= kMaxCores)
                 fatal("core set '%s': bad range end '%s'", text.c_str(),
                       hi_s.c_str());
+            if (static_cast<long>(cores.size()) + (hi - lo) >= kMaxCores)
+                fatal("core set '%s': more than %ld cores", text.c_str(),
+                      kMaxCores);
             for (long c = lo; c <= hi; ++c)
                 cores.push_back(static_cast<int>(c));
         }

@@ -478,8 +478,7 @@ ApiHandler::health() const
     build.set("compiler", Json::makeString(b.compiler));
     build.set("build_type", Json::makeString(b.buildType));
     build.set("simd", Json::makeString(b.simdTier));
-    build.set("profiler",
-              Json::makeBool(telemetry::Profiler::compiledIn()));
+    build.set("profiler", Json::makeBool(true));
     doc.set("build", std::move(build));
     // Hardware measurement capability: whether backend=perf campaign
     // rows on this host will carry real counters or degrade to
@@ -514,12 +513,6 @@ ApiHandler::dashz() const
 HttpResponse
 ApiHandler::profilez(const HttpRequest &req) const
 {
-    if (!telemetry::Profiler::compiledIn()) {
-        return jsonError(501,
-                         "profiler not compiled in "
-                         "(rebuild with -DRFL_PROFILER=ON)");
-    }
-
     double seconds =
         std::strtod(req.queryParam("seconds", "2").c_str(), nullptr);
     seconds = std::clamp(seconds, 0.05, 30.0);

@@ -32,8 +32,7 @@
  *   GET  /profilez?seconds=N&hz=H&format=json|svg
  *        run the SIGPROF sampling profiler for N seconds (blocking
  *        this request only) and return the collapsed profile as JSON
- *        or a flamegraph SVG. 501 when compiled out
- *        (-DRFL_PROFILER=OFF), 409 when a profile is already running.
+ *        or a flamegraph SVG. 409 when a profile is already running.
  *
  * Artifact endpoints answer 409 while the campaign is still queued or
  * running (poll the status endpoint), 404 for unknown tickets, and

@@ -2,12 +2,11 @@
  * @file
  * Minimal blocking HTTP/1.1 client for the roofline service.
  *
- * In-repo counterpart of http_server.hh: enough protocol for the load
- * bench, the service tests and scripted smoke checks — keep-alive
- * connection reuse, Content-Length and chunked response bodies — and
- * nothing more. One HttpClient is one connection; it is not
- * thread-safe (each load-generator client owns its own instance, which
- * is exactly the concurrency model the bench measures).
+ * In-repo counterpart of http_server.hh: enough protocol for the
+ * service tests and perfbench — keep-alive connection reuse,
+ * Content-Length and chunked response bodies — and nothing more. One
+ * HttpClient is one connection; it is not thread-safe (each concurrent
+ * client owns its own instance).
  */
 
 #ifndef RFL_SERVICE_HTTP_CLIENT_HH
@@ -41,8 +40,8 @@ class HttpClient
     /**
      * Issue one request over the (re)used connection. Reconnects once
      * when the kept-alive socket turns out dead (server closed it
-     * between requests). @return false on transport failure — the
-     * load bench counts that as a dropped connection.
+     * between requests). @return false on transport failure — a
+     * dropped connection.
      */
     bool request(const std::string &method, const std::string &target,
                  ClientResponse *out, const std::string &body = "",

@@ -30,6 +30,9 @@ using net::sendAll;
 using net::sendAllv;
 using net::trimWs;
 
+/** A keep-alive connection idle for longer than this is closed. */
+constexpr std::chrono::milliseconds kIdleTimeout{5000};
+
 void
 parseQuery(HttpRequest &req)
 {
@@ -269,8 +272,7 @@ readRequest(int fd, std::string &buffer, HttpRequest &req,
             const HttpServerOptions &opts,
             const std::atomic<bool> &stopping)
 {
-    const auto deadline =
-        Clock::now() + std::chrono::milliseconds(opts.idleTimeoutMs);
+    const auto deadline = Clock::now() + kIdleTimeout;
     size_t headEnd = std::string::npos;
     size_t bodyLen = 0;
     bool haveHead = false;

@@ -98,8 +98,6 @@ struct HttpServerOptions
     int workers = 16;
     /** Reject requests larger than this (413). */
     size_t maxRequestBytes = 1 << 20;
-    /** Close a keep-alive connection idle for longer than this. */
-    int idleTimeoutMs = 5000;
     /** Chunk size for chunked responses. */
     size_t chunkBytes = 16 * 1024;
 };

@@ -178,7 +178,7 @@ class JobQueue
 
     /**
      * Block until @p id reaches Done, Failed or TimedOut (used by
-     * tests and the load bench; HTTP clients poll instead). @return
+     * tests and perfbench; HTTP clients poll instead). @return
      * false on timeout or unknown id.
      */
     bool waitFor(const std::string &id, double timeoutSeconds) const;

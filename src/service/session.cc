@@ -7,6 +7,20 @@
 namespace rfl::service
 {
 
+namespace
+{
+
+/**
+ * Distinct client buckets kept before idle ones are swept; bounds the
+ * table's memory against address churn (a resident daemon would
+ * otherwise keep one entry per client forever).
+ */
+constexpr size_t kMaxClients = 4096;
+/** A bucket idle this long is evictable by the sweep. */
+constexpr double kIdleEvictSeconds = 300.0;
+
+} // namespace
+
 SessionTable::SessionTable(SessionOptions opts) : opts_(opts)
 {
 }
@@ -14,16 +28,16 @@ SessionTable::SessionTable(SessionOptions opts) : opts_(opts)
 void
 SessionTable::evictStaleLocked(std::chrono::steady_clock::time_point now)
 {
-    if (buckets_.size() < opts_.maxClients)
+    if (buckets_.size() < kMaxClients)
         return;
     // O(clients) sweep, amortized by only running at the cap; with
     // the table full of genuinely active clients it degrades to one
-    // scan per admit, which is still cheap at maxClients scale.
+    // scan per admit, which is still cheap at kMaxClients scale.
     for (auto it = buckets_.begin(); it != buckets_.end();) {
         const double idle =
             std::chrono::duration<double>(now - it->second.last)
                 .count();
-        if (idle > opts_.idleEvictSeconds)
+        if (idle > kIdleEvictSeconds)
             it = buckets_.erase(it);
         else
             ++it;

@@ -6,8 +6,8 @@
  * spends a token, tokens refill at ratePerSec up to burst. A client
  * that outruns its bucket gets 429 responses until it backs off —
  * cheap protection against a single chatty client starving the
- * campaign workers. ratePerSec == 0 disables limiting entirely (the
- * load bench hammers on purpose).
+ * campaign workers. ratePerSec == 0 disables limiting entirely (load
+ * tests hammer on purpose).
  *
  * Request logging goes through support/logging's inform() channel in
  * a common-log-like shape, so `roofline_serve` output is greppable
@@ -36,14 +36,6 @@ struct SessionOptions
     double burst = 32.0;
     /** Log one line per request through inform(). */
     bool logRequests = true;
-    /**
-     * Distinct client buckets kept before idle ones are swept;
-     * bounds the table's memory against address churn (a resident
-     * daemon would otherwise keep one entry per client forever).
-     */
-    size_t maxClients = 4096;
-    /** A bucket idle this long is evictable by the sweep. */
-    double idleEvictSeconds = 300.0;
 };
 
 /** Monotonic session counters, exposed by /statsz. */
@@ -82,7 +74,7 @@ class SessionTable
         std::chrono::steady_clock::time_point last;
     };
 
-    /** Sweep idle buckets once the table is at maxClients. */
+    /** Sweep idle buckets once the table is at kMaxClients. */
     void evictStaleLocked(std::chrono::steady_clock::time_point now);
 
     SessionOptions opts_;

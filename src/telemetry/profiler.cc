@@ -10,13 +10,11 @@
 #include <sstream>
 #include <thread>
 
-#if RFL_PROFILER_ENABLED
 #include <cxxabi.h>
 #include <dlfcn.h>
 #include <execinfo.h>
 #include <signal.h>
 #include <sys/time.h>
-#endif
 
 #include "support/json.hh"
 #include "support/logging.hh"
@@ -26,8 +24,6 @@ namespace rfl::telemetry
 
 namespace
 {
-
-#if RFL_PROFILER_ENABLED
 
 /**
  * Everything SIGPROF touches. Allocated and fully initialized before
@@ -112,8 +108,6 @@ symbolFor(void *addr)
     return buf;
 }
 
-#endif // RFL_PROFILER_ENABLED
-
 } // namespace
 
 // ------------------------------------------------------------- Profiler
@@ -124,18 +118,6 @@ Profiler::instance()
     static Profiler p;
     return p;
 }
-
-bool
-Profiler::compiledIn()
-{
-#if RFL_PROFILER_ENABLED
-    return true;
-#else
-    return false;
-#endif
-}
-
-#if RFL_PROFILER_ENABLED
 
 bool
 Profiler::start(ProfilerOptions opts)
@@ -265,30 +247,6 @@ Profiler::running() const
     std::lock_guard<std::mutex> lock(g_mutex);
     return g_running;
 }
-
-#else // !RFL_PROFILER_ENABLED
-
-bool
-Profiler::start(ProfilerOptions)
-{
-    return false;
-}
-
-Profile
-Profiler::stop(const std::string &label)
-{
-    Profile profile;
-    profile.label = label;
-    return profile;
-}
-
-bool
-Profiler::running() const
-{
-    return false;
-}
-
-#endif // RFL_PROFILER_ENABLED
 
 // --------------------------------------------------- pure aggregation
 

@@ -29,11 +29,7 @@
  * free functions on plain data so tests drive them with synthetic
  * stacks, no signals involved.
  *
- * Compile gate: the timer/signal machinery is built only when the
- * RFL_PROFILER CMake option is ON (the default); with it OFF,
- * Profiler::compiledIn() is false and start() fails cleanly —
- * /profilez answers 501 and nothing else changes. Runtime default is
- * off either way: no timer exists until start() is called.
+ * Off by default at runtime: no timer exists until start() is called.
  */
 
 #ifndef RFL_TELEMETRY_PROFILER_HH
@@ -87,12 +83,9 @@ class Profiler
   public:
     static Profiler &instance();
 
-    /** False when built with -DRFL_PROFILER=OFF. */
-    static bool compiledIn();
-
     /**
      * Arm the timer. @return false (with no side effects) when the
-     * profiler is compiled out or already running.
+     * profiler is already running.
      */
     bool start(ProfilerOptions opts = {});
 

@@ -99,9 +99,6 @@ TEST(Profiler, StopWithoutStartIsEmpty)
 
 TEST(Profiler, LiveCaptureAttributesBusyLoop)
 {
-    if (!Profiler::compiledIn())
-        GTEST_SKIP() << "built with -DRFL_PROFILER=OFF";
-
     ProfilerOptions opts;
     opts.hz = 997;
     ASSERT_TRUE(Profiler::instance().start(opts));

@@ -7,10 +7,8 @@
 #   the schema checker -> exercise dedup + statsz -> scrape /metricsz
 #   and /tracez (job counters must have moved) -> assert the
 #   time-series sampler advanced across submit->done (/seriesz +
-#   /dashz) -> exercise /profilez (200 + schema-valid profile when the
-#   profiler is compiled in, clean 501 when not; set
-#   RFL_EXPECT_PROFILER=0/1 to pin the expectation) -> SIGTERM and
-#   assert a clean (exit 0) shutdown.
+#   /dashz) -> exercise /profilez (200 + schema-valid profile and a
+#   flamegraph) -> SIGTERM and assert a clean (exit 0) shutdown.
 # Run by CI in both the Release and ASan/UBSan jobs:
 #   tools/service_smoke.sh <build-dir>
 set -euo pipefail
@@ -219,28 +217,12 @@ grep -q 'Queue depth' "$WORK/dash.html"
 ! grep -q '<script' "$WORK/dash.html"
 echo "dashz OK: $(wc -c < "$WORK/dash.html") bytes, self-contained"
 
-# /profilez: a real capture when compiled in, a clean 501 when not.
-# RFL_EXPECT_PROFILER=0/1 pins the expectation (CI's no-SIMD job
-# builds with -DRFL_PROFILER=OFF and exports 0).
-PROFILE_CODE=$(curl -sS -o "$WORK/profile.json" -w '%{http_code}' \
-    "$BASE/profilez?seconds=0.3")
-case "${RFL_EXPECT_PROFILER:-}" in
-    0) [ "$PROFILE_CODE" = 501 ] || { echo "FAIL: expected 501 from" \
-           "/profilez without RFL_PROFILER, got $PROFILE_CODE"; exit 1; } ;;
-    1) [ "$PROFILE_CODE" = 200 ] || { echo "FAIL: expected 200 from" \
-           "/profilez, got $PROFILE_CODE"; exit 1; } ;;
-    *) [ "$PROFILE_CODE" = 200 ] || [ "$PROFILE_CODE" = 501 ] || {
-           echo "FAIL: /profilez returned $PROFILE_CODE"; exit 1; } ;;
-esac
-if [ "$PROFILE_CODE" = 200 ]; then
-    python3 tools/check_bench_schema.py "$WORK/profile.json"
-    curl -fsS "$BASE/profilez?seconds=0.2&format=svg" > "$WORK/flame.svg"
-    grep -q '<svg' "$WORK/flame.svg"
-    echo "profilez OK: capture + flamegraph served"
-else
-    grep -q 'RFL_PROFILER' "$WORK/profile.json"
-    echo "profilez OK: clean 501 without RFL_PROFILER"
-fi
+# /profilez: a real capture and its flamegraph.
+curl -fsS "$BASE/profilez?seconds=0.3" > "$WORK/profile.json"
+python3 tools/check_bench_schema.py "$WORK/profile.json"
+curl -fsS "$BASE/profilez?seconds=0.2&format=svg" > "$WORK/flame.svg"
+grep -q '<svg' "$WORK/flame.svg"
+echo "profilez OK: capture + flamegraph served"
 
 # Graceful shutdown: SIGTERM must end the process with exit code 0.
 kill -TERM "$SERVE_PID"
