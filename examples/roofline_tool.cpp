@@ -11,10 +11,13 @@
  *   roofline_tool --kernel dgemm-opt:n=256 --lanes 2 --no-fma
  *   roofline_tool --list                        # kernel catalog
  *   roofline_tool --no-prefetch --kernel stencil3:n=1048576
+ *   roofline_tool --native --kernel fft:n=524288  # on the host CPU
  */
 
 #include <cstdio>
 #include <iostream>
+#include <optional>
+#include <thread>
 
 #include "kernels/registry.hh"
 #include "roofline/experiment.hh"
@@ -32,9 +35,11 @@ main(int argc, char **argv)
     Cli cli;
     cli.addOption("kernel", "kernel spec, e.g. daxpy:n=65536",
                   "daxpy:n=1048576");
-    cli.addOption("cores", "number of simulated cores to use", "1");
+    cli.addOption("cores", "number of cores (host threads with --native)",
+                  "1");
     cli.addOption("protocol", "cold or warm caches", "cold");
-    cli.addOption("lanes", "vector width in doubles (0 = machine max)",
+    cli.addOption("lanes",
+                  "vector width in doubles (0 = machine max; 4 on the host)",
                   "0");
     cli.addOption("reps", "measurement repetitions", "2");
     cli.addOption("seed", "workload initialization seed", "42");
@@ -53,22 +58,44 @@ main(int argc, char **argv)
         return 0;
     }
 
+    // The simulated machine, or the host with --native, bounds --cores.
+    std::optional<Experiment> exp;
+    int max_cores = static_cast<int>(std::thread::hardware_concurrency());
+    if (!cli.has("native")) {
+        exp.emplace(cli.has("machine")
+                        ? sim::loadMachineConfig(cli.get("machine"))
+                        : sim::MachineConfig::defaultPlatform());
+        exp->machine().setPrefetchEnabled(!cli.has("no-prefetch"));
+        max_cores = exp->machine().numCores();
+    }
+    const long n_cores = cli.getInt("cores", 1);
+    if (n_cores < 1 || n_cores > max_cores)
+        fatal("--cores must be in [1, %d]", max_cores);
+
+    MeasureOptions opts;
+    opts.cores.clear();
+    for (int c = 0; c < n_cores; ++c)
+        opts.cores.push_back(c);
+    const std::string protocol = cli.get("protocol", "cold");
+    if (protocol == "warm")
+        opts.protocol = CacheProtocol::Warm;
+    else if (protocol != "cold")
+        fatal("--protocol must be 'cold' or 'warm'");
+    opts.lanes = static_cast<int>(cli.getInt("lanes", 0));
+    opts.useFma = !cli.has("no-fma");
+    opts.repetitions = static_cast<int>(cli.getInt("reps", 2));
+    opts.seed = static_cast<uint64_t>(cli.getInt("seed", 42));
+    const std::string spec = cli.get("kernel", "daxpy:n=1048576");
+
     if (cli.has("native")) {
         NativeMeasurer nm;
         const std::unique_ptr<kernels::Kernel> kernel =
-            kernels::createKernel(cli.get("kernel", "daxpy:n=1048576"));
-        NativeMeasureOptions nopts;
-        nopts.threads = static_cast<int>(cli.getInt("cores", 1));
-        nopts.lanes = static_cast<int>(cli.getInt("lanes", 4));
-        if (nopts.lanes == 0)
-            nopts.lanes = 4;
-        nopts.useFma = !cli.has("no-fma");
-        nopts.repetitions = static_cast<int>(cli.getInt("reps", 5));
-        if (cli.get("protocol", "cold") == "warm")
-            nopts.protocol = CacheProtocol::Warm;
-        const NativeMeasurement r = nm.measure(*kernel, nopts);
-        std::printf("native host run (perf counters %s)\n",
-                    nm.perfAvailable() ? "live" : "unavailable");
+            kernels::createKernel(spec);
+        const NativeMeasurement r = nm.measure(*kernel, opts);
+        std::printf("native host run (perf counters %s, LLC %s)\n",
+                    nm.perfAvailable() ? "live" : "unavailable",
+                    formatBytes(static_cast<double>(hostLlcBytes()))
+                        .c_str());
         std::printf("  W = %s (software counters, err vs model %.3f%%)\n",
                     formatFlops(r.base.flops).c_str(),
                     100 * r.base.workError());
@@ -87,34 +114,10 @@ main(int argc, char **argv)
         return 0;
     }
 
-    Experiment exp(cli.has("machine")
-                       ? sim::loadMachineConfig(cli.get("machine"))
-                       : sim::MachineConfig::defaultPlatform());
-    sim::Machine &machine = exp.machine();
-    machine.setPrefetchEnabled(!cli.has("no-prefetch"));
+    sim::Machine &machine = exp->machine();
+    const Measurement m = exp->measureSpec(spec, opts);
 
-    const long n_cores = cli.getInt("cores", 1);
-    if (n_cores < 1 || n_cores > machine.numCores())
-        fatal("--cores must be in [1, %d]", machine.numCores());
-
-    MeasureOptions opts;
-    opts.cores.clear();
-    for (int c = 0; c < n_cores; ++c)
-        opts.cores.push_back(c);
-    const std::string protocol = cli.get("protocol", "cold");
-    if (protocol == "warm")
-        opts.protocol = CacheProtocol::Warm;
-    else if (protocol != "cold")
-        fatal("--protocol must be 'cold' or 'warm'");
-    opts.lanes = static_cast<int>(cli.getInt("lanes", 0));
-    opts.useFma = !cli.has("no-fma");
-    opts.repetitions = static_cast<int>(cli.getInt("reps", 2));
-    opts.seed = static_cast<uint64_t>(cli.getInt("seed", 42));
-
-    const std::string spec = cli.get("kernel", "daxpy:n=1048576");
-    const Measurement m = exp.measureSpec(spec, opts);
-
-    const RooflineModel &model = exp.modelFor(opts.cores);
+    const RooflineModel &model = exp->modelFor(opts.cores);
     std::printf("platform %s, %s, prefetch %s\n",
                 machine.config().name.c_str(),
                 scenarioName(machine, opts.cores).c_str(),

@@ -448,14 +448,12 @@ executeJob(const CampaignSpec &spec, const Job &job,
             StageSpan build("machine-build");
             const std::unique_ptr<kernels::Kernel> kernel =
                 kernels::createKernel(kspec);
+            m = roofline::analyticRow(*kernel, opts.measure,
+                                      roofline::hostLanes(opts.measure),
+                                      roofline::hostLlcBytes());
             m.backend = "perf";
             m.available = false;
             m.quality = 0.0;
-            m.kernel = kernel->name();
-            m.sizeLabel = kernel->sizeLabel();
-            m.protocol = roofline::protocolName(opts.measure.protocol);
-            m.cores = static_cast<int>(opts.measure.cores.size());
-            m.lanes = opts.measure.lanes;
             break;
         }
         std::unique_ptr<kernels::Kernel> kernel;
@@ -464,19 +462,9 @@ executeJob(const CampaignSpec &spec, const Job &job,
             kernel = kernels::createKernel(kspec);
             measurer.emplace();
         });
-        roofline::NativeMeasureOptions nopts;
-        nopts.protocol = opts.measure.protocol;
-        nopts.repetitions = opts.measure.repetitions;
-        nopts.warmupRuns = opts.measure.warmupRuns;
-        // lanes=0 means "machine maximum" on the sim; the host default
-        // is the 256-bit engine (4 doubles).
-        nopts.lanes = opts.measure.lanes > 0 ? opts.measure.lanes : 4;
-        nopts.useFma = opts.measure.useFma;
-        // One host thread per simulated core of the variant.
-        nopts.threads = static_cast<int>(opts.measure.cores.size());
-        nopts.seed = opts.measure.seed;
-        m = stage("job.simulate", "measure-native",
-                  [&] { return measurer->measure(*kernel, nopts).base; });
+        m = stage("job.simulate", "measure-native", [&] {
+            return measurer->measure(*kernel, opts.measure).base;
+        });
         break;
       }
     }

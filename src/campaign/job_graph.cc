@@ -6,6 +6,7 @@
 #include <map>
 #include <sstream>
 
+#include "roofline/native_measurement.hh"
 #include "support/hash.hh"
 #include "support/logging.hh"
 #include "trace/trace_file.hh"
@@ -178,9 +179,11 @@ hostIdentityHash()
             }
         }
         // The event map shapes what a hardware row contains: remapping
-        // an event must miss the old cache entries.
+        // an event must miss the old cache entries. So does the LLC
+        // size, which picks the traffic model and the eviction buffer.
         const char *events = std::getenv("RFL_PERF_EVENTS");
         h.mix(std::string(events ? events : ""));
+        h.mix(std::to_string(roofline::hostLlcBytes()));
         return hashToHex(h.value());
     }();
     return cached;

@@ -203,8 +203,9 @@ std::string phaseSampleCacheKey(const sim::MachineConfig &config,
 /**
  * Stable hex hash identifying the measurement host for native rows:
  * cpu model name + feature flags (first /proc/cpuinfo processor) +
- * the RFL_PERF_EVENTS map. Two hosts with the same hash count the
- * same events on the same silicon. Computed once per process.
+ * the RFL_PERF_EVENTS map + the LLC size (roofline::hostLlcBytes()).
+ * Two hosts with the same hash count the same events on the same
+ * silicon. Computed once per process.
  */
 std::string hostIdentityHash();
 

@@ -45,11 +45,11 @@ std::pair<size_t, size_t> partitionRange(size_t n, int part, int nparts,
 /**
  * Running total of a reduction kernel (dot, sum, strided) whose
  * partitions may run concurrently: NativeMeasurer runs each on its own
- * host thread. Each partition reports its partial sum; once all
- * @p nparts partitions of a run have reported, the partials are added
- * to the total in partition order. The total is thus bit-identical to
- * running the partitions one after another, and no two threads ever
- * write it at once.
+ * host thread, one per entry of MeasureOptions::cores. Each partition
+ * reports its partial sum; once all @p nparts partitions of a run have
+ * reported, the partials are added to the total in partition order.
+ * The total is thus bit-identical to running the partitions one after
+ * another, and no two threads ever write it at once.
  */
 class PartialSums
 {

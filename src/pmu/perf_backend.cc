@@ -1,6 +1,7 @@
 #include "pmu/perf_backend.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -107,11 +108,14 @@ trimmed(const std::string &s)
     return s.substr(b, e - b + 1);
 }
 
-/** Parse a non-negative integer (decimal or 0x hex); false on junk. */
+/**
+ * Parse a non-negative integer (decimal or 0x hex); false on junk,
+ * a sign (strtoull would wrap "-1") or a value above 64 bits.
+ */
 bool
 parseU64(const std::string &s, uint64_t &out)
 {
-    if (s.empty())
+    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
         return false;
     errno = 0;
     char *end = nullptr;
@@ -172,6 +176,7 @@ PerfEventBackend::parseEventMap(const std::string &text,
         uint64_t type = 0;
         if (!parseU64(trimmed(entry.substr(eq + 1, colon - eq - 1)),
                       type) ||
+            type > UINT32_MAX ||
             !parseU64(trimmed(entry.substr(colon + 1)), m.config)) {
             if (error)
                 *error = "bad type:config numbers in '" + entry + "'";

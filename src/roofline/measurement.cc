@@ -45,6 +45,25 @@ Measurement::trafficError() const
     return relativeError(trafficBytes, expectedTrafficBytes);
 }
 
+Measurement
+analyticRow(kernels::Kernel &kernel, const MeasureOptions &opts, int lanes,
+            uint64_t llcSize)
+{
+    kernel.setLlcHintBytes(llcSize);
+    Measurement m;
+    m.kernel = kernel.name();
+    m.sizeLabel = kernel.sizeLabel();
+    m.protocol = protocolName(opts.protocol);
+    m.cores = static_cast<int>(opts.cores.size());
+    m.lanes = lanes;
+    m.expectedFlops = kernel.expectedFlops();
+    m.expectedTrafficBytes =
+        opts.protocol == CacheProtocol::Cold
+            ? kernel.expectedColdTrafficBytes()
+            : kernel.expectedWarmTrafficBytes(llcSize);
+    return m;
+}
+
 Measurer::Measurer(sim::Machine &machine)
     : machine_(machine),
       owned_(std::make_unique<pmu::SimBackend>(machine)),
@@ -91,19 +110,8 @@ Measurer::measure(kernels::Kernel &kernel, const MeasureOptions &opts)
     const bool cold = opts.protocol == CacheProtocol::Cold;
 
     machine_.setDependentAccesses(kernel.dependentAccesses());
-    kernel.setLlcHintBytes(machine_.config().l3.sizeBytes);
-
-    Measurement m;
-    m.kernel = kernel.name();
-    m.sizeLabel = kernel.sizeLabel();
-    m.protocol = protocolName(opts.protocol);
-    m.cores = static_cast<int>(opts.cores.size());
-    m.lanes = lanes;
-    m.expectedFlops = kernel.expectedFlops();
-    m.expectedTrafficBytes =
-        cold ? kernel.expectedColdTrafficBytes()
-             : kernel.expectedWarmTrafficBytes(
-                   machine_.config().l3.sizeBytes);
+    Measurement m =
+        analyticRow(kernel, opts, lanes, machine_.config().l3.sizeBytes);
 
     kernel.init(opts.seed);
     machine_.reset();

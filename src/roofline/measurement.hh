@@ -116,6 +116,17 @@ struct Measurement
 };
 
 /**
+ * @return a row labelled for @p kernel under @p opts with the resolved
+ * @p lanes, carrying the analytic W and the cold or warm analytic Q for
+ * a last-level cache of @p llcSize, which also becomes the kernel's
+ * LLC hint. Both measurement planes (and the executor's placeholder for
+ * a host without perf) start every row here; the measured numbers are
+ * left to the caller.
+ */
+Measurement analyticRow(kernels::Kernel &kernel, const MeasureOptions &opts,
+                        int lanes, uint64_t llcSize);
+
+/**
  * Runs kernels on a simulated machine per the methodology above.
  * The machine is reset()s between measurements; a Measurer owns the
  * machine's measurement-time configuration (prefetch stays whatever the

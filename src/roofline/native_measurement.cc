@@ -3,8 +3,13 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
+#include <fstream>
+#include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "support/logging.hh"
 
@@ -22,39 +27,61 @@ nowSeconds()
         .count();
 }
 
-} // namespace
+/**
+ * The LLC size assumed when the host reports none. Large, so that the
+ * cold protocol's eviction buffer still displaces a big server LLC.
+ */
+constexpr uint64_t kFallbackLlcBytes = 32ull << 20;
 
-NativeMeasurer::NativeMeasurer()
+/** @return a sysfs cache size ("32K", "1024K", "105M") in bytes, 0 if
+ *  it does not read as one. */
+uint64_t
+parseSysfsSize(const std::string &text)
 {
-    if (pmu::PerfEventBackend::available())
-        perf_ = std::make_unique<pmu::PerfEventBackend>();
-}
-
-NativeMeasurer::~NativeMeasurer() = default;
-
-void
-NativeMeasurer::evictCaches(size_t bytes)
-{
-    const size_t doubles = bytes / 8;
-    if (evictBuffer_.size() < doubles)
-        evictBuffer_.reset(doubles);
-    // Write (not just read) so dirty kernel lines are displaced too.
-    volatile double sink = 0.0;
-    for (size_t i = 0; i < doubles; i += 8) {
-        evictBuffer_[i] += 1.0;
-        sink = evictBuffer_[i];
+    char *end = nullptr;
+    const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
+    if (end == text.c_str())
+        return 0;
+    switch (*end) {
+      case 'K': return v << 10;
+      case 'M': return v << 20;
+      case 'G': return v << 30;
+      case '\0': return v;
+      default: return 0;
     }
-    (void)sink;
 }
 
-void
-NativeMeasurer::runOnce(kernels::Kernel &kernel,
-                        const NativeMeasureOptions &opts,
-                        kernels::NativeCounters &total)
+uint64_t
+readHostLlcBytes()
 {
-    const int nparts = opts.threads;
+#ifdef _SC_LEVEL3_CACHE_SIZE
+    const long l3 = ::sysconf(_SC_LEVEL3_CACHE_SIZE);
+    if (l3 > 0)
+        return static_cast<uint64_t>(l3);
+#endif
+    uint64_t largest = 0;
+    for (int i = 0;; ++i) {
+        std::ifstream in("/sys/devices/system/cpu/cpu0/cache/index" +
+                         std::to_string(i) + "/size");
+        std::string text;
+        if (!(in >> text))
+            break;
+        largest = std::max(largest, parseSysfsSize(text));
+    }
+    if (largest > 0)
+        return largest;
+    warn("host LLC size unknown; assuming %llu MiB",
+         static_cast<unsigned long long>(kFallbackLlcBytes >> 20));
+    return kFallbackLlcBytes;
+}
+
+/** Run @p kernel once across @p nparts host threads into @p total. */
+void
+runOnce(kernels::Kernel &kernel, int nparts, int lanes, bool useFma,
+        kernels::NativeCounters &total)
+{
     if (nparts == 1) {
-        kernels::NativeEngine engine(opts.lanes, opts.useFma);
+        kernels::NativeEngine engine(lanes, useFma);
         kernel.run(engine, 0, 1);
         total = engine.counters();
         return;
@@ -65,7 +92,7 @@ NativeMeasurer::runOnce(kernels::Kernel &kernel,
     threads.reserve(static_cast<size_t>(nparts));
     for (int p = 0; p < nparts; ++p) {
         threads.emplace_back([&, p]() {
-            kernels::NativeEngine engine(opts.lanes, opts.useFma);
+            kernels::NativeEngine engine(lanes, useFma);
             kernel.run(engine, p, nparts);
             parts[static_cast<size_t>(p)] = engine.counters();
         });
@@ -82,54 +109,83 @@ NativeMeasurer::runOnce(kernels::Kernel &kernel,
     }
 }
 
-NativeMeasurement
-NativeMeasurer::measure(kernels::Kernel &kernel,
-                        const NativeMeasureOptions &opts)
+} // namespace
+
+uint64_t
+hostLlcBytes()
 {
+    static const uint64_t bytes = readHostLlcBytes();
+    return bytes;
+}
+
+int
+hostLanes(const MeasureOptions &opts)
+{
+    return opts.lanes > 0 ? opts.lanes : 4;
+}
+
+NativeMeasurer::NativeMeasurer()
+{
+    if (pmu::PerfEventBackend::available())
+        perf_ = std::make_unique<pmu::PerfEventBackend>();
+}
+
+NativeMeasurer::~NativeMeasurer() = default;
+
+void
+NativeMeasurer::evictCaches()
+{
+    const size_t doubles = static_cast<size_t>(2 * hostLlcBytes() / 8);
+    if (evictBuffer_.size() < doubles)
+        evictBuffer_.reset(doubles);
+    // Write (not just read) so dirty kernel lines are displaced too.
+    volatile double sink = 0.0;
+    for (size_t i = 0; i < doubles; i += 8) {
+        evictBuffer_[i] += 1.0;
+        sink = evictBuffer_[i];
+    }
+    (void)sink;
+}
+
+NativeMeasurement
+NativeMeasurer::measure(kernels::Kernel &kernel, const MeasureOptions &opts)
+{
+    RFL_ASSERT(!opts.cores.empty());
     RFL_ASSERT(opts.repetitions >= 1);
-    RFL_ASSERT(opts.threads >= 1);
-    if (opts.threads > 1 && !kernel.parallelizable()) {
+    const int threads = static_cast<int>(opts.cores.size());
+    if (threads > 1 && !kernel.parallelizable()) {
         fatal("kernel '%s' does not support multi-threaded execution",
               kernel.name().c_str());
     }
 
+    const int lanes = hostLanes(opts);
     const bool cold = opts.protocol == CacheProtocol::Cold;
-    kernel.setLlcHintBytes(opts.llcBytes);
 
     NativeMeasurement nm;
+    nm.base = analyticRow(kernel, opts, lanes, hostLlcBytes());
     Measurement &m = nm.base;
     m.backend = "perf";
-    m.kernel = kernel.name();
-    m.sizeLabel = kernel.sizeLabel();
-    m.protocol = protocolName(opts.protocol);
-    m.cores = opts.threads;
-    m.lanes = opts.lanes;
-    m.expectedFlops = kernel.expectedFlops();
-    m.expectedTrafficBytes =
-        cold ? kernel.expectedColdTrafficBytes()
-             : kernel.expectedWarmTrafficBytes(opts.llcBytes);
 
     kernel.init(opts.seed);
     if (!cold) {
         kernels::NativeCounters ignore;
         for (int i = 0; i < opts.warmupRuns; ++i)
-            runOnce(kernel, opts, ignore);
+            runOnce(kernel, threads, lanes, opts.useFma, ignore);
     }
 
-    const bool use_perf = opts.usePerf && perf_ != nullptr;
     Sample perf_cycles, perf_llc;
 
     for (int rep = 0; rep < opts.repetitions; ++rep) {
         if (cold)
-            evictCaches(opts.flushBufferBytes);
+            evictCaches();
 
         kernels::NativeCounters counters;
-        if (use_perf)
+        if (perf_)
             perf_->begin();
         const double t0 = nowSeconds();
-        runOnce(kernel, opts, counters);
+        runOnce(kernel, threads, lanes, opts.useFma, counters);
         const double t1 = nowSeconds();
-        if (use_perf) {
+        if (perf_) {
             const pmu::Counts pc = perf_->end();
             // The row's quality is the worst multiplex fraction any
             // contributing counter saw across all repetitions.
@@ -157,7 +213,7 @@ NativeMeasurer::measure(kernels::Kernel &kernel,
     for (size_t i = 0; i < m.secondsSample.count(); ++i)
         m.trafficSample.add(m.trafficBytes);
 
-    nm.perfLive = use_perf && !perf_cycles.empty();
+    nm.perfLive = !perf_cycles.empty();
     if (nm.perfLive) {
         nm.perfCycles = static_cast<uint64_t>(perf_cycles.median());
         nm.perfLlcBytes = perf_llc.median();

@@ -11,11 +11,21 @@
  *     perf_event cycle/instruction counters when the kernel allows
  *     counting;
  *   - Q is not observable without uncore access, so the Measurement
- *     carries the analytic model (trafficSource() tells the consumer);
+ *     carries the analytic model (trafficSource tells the consumer);
  *     perf's generic LLC-miss estimate is recorded alongside when live.
  *
- * The cold protocol evicts caches the way user-space must: by streaming
- * a buffer larger than the LLC between repetitions.
+ * Both planes take the same MeasureOptions, so a campaign variant drives
+ * either one unchanged. On the host the kernel is partitioned across
+ * cores.size() threads, and lanes = 0 (the sim's "machine maximum")
+ * resolves to the 256-bit engine (hostLanes()). The sim-region
+ * mechanics are not used here: subtractOverhead, flushAfter, and the
+ * core ids themselves (the threads are not pinned).
+ *
+ * Every quantity that depends on the last-level cache reads the host's
+ * own LLC (hostLlcBytes()), never an assumed size: the kernel's LLC hint,
+ * the warm/cold traffic model and the cold protocol's eviction. User
+ * space evicts by streaming a buffer of twice the LLC between
+ * repetitions, the rule the sim bandwidth probe follows too.
  */
 
 #ifndef RFL_ROOFLINE_NATIVE_MEASUREMENT_HH
@@ -31,26 +41,16 @@
 namespace rfl::roofline
 {
 
-/** Knobs of one native measurement. */
-struct NativeMeasureOptions
-{
-    CacheProtocol protocol = CacheProtocol::Cold;
-    /** Wall-clock noise is real here; default to more repetitions. */
-    int repetitions = 5;
-    int warmupRuns = 1;
-    /** Vector lanes for the engine (1/2/4/8). */
-    int lanes = 4;
-    bool useFma = true;
-    /** Host threads to partition the kernel across. */
-    int threads = 1;
-    uint64_t seed = 42;
-    /** Cold protocol: bytes streamed to evict the caches. */
-    size_t flushBufferBytes = 64ull << 20;
-    /** Assumed LLC capacity for the warm-traffic model. */
-    uint64_t llcBytes = 8ull << 20;
-    /** Attach perf_event counters when the kernel permits. */
-    bool usePerf = true;
-};
+/**
+ * @return the host's last-level cache size in bytes: glibc's
+ * sysconf(_SC_LEVEL3_CACHE_SIZE), else the largest cpu0 cache in
+ * /sys/devices/system/cpu/cpu0/cache, else a 32 MiB fallback (with one
+ * warning per process). Read once and cached.
+ */
+uint64_t hostLlcBytes();
+
+/** @return @p opts.lanes, or the 256-bit engine's 4 doubles for 0. */
+int hostLanes(const MeasureOptions &opts);
 
 /** A Measurement plus native-only context. */
 struct NativeMeasurement
@@ -75,20 +75,16 @@ class NativeMeasurer
     NativeMeasurer(const NativeMeasurer &) = delete;
     NativeMeasurer &operator=(const NativeMeasurer &) = delete;
 
-    /** Measure @p kernel under @p opts. */
+    /** Measure @p kernel under @p opts (see file comment). */
     NativeMeasurement measure(kernels::Kernel &kernel,
-                              const NativeMeasureOptions &opts = {});
+                              const MeasureOptions &opts = {});
 
     /** @return whether perf counters are live on this host. */
     bool perfAvailable() const { return perf_ != nullptr; }
 
   private:
     /** Stream the eviction buffer (cold protocol). */
-    void evictCaches(size_t bytes);
-
-    /** Run the kernel once across opts.threads host threads. */
-    void runOnce(kernels::Kernel &kernel, const NativeMeasureOptions &opts,
-                 kernels::NativeCounters &total);
+    void evictCaches();
 
     std::unique_ptr<pmu::PerfEventBackend> perf_;
     AlignedBuffer<double> evictBuffer_;

@@ -392,7 +392,6 @@ ApiHandler::campaignRoute(const HttpRequest &req)
         if (!queue_.reportHtml(id, &resp.body))
             return jsonError(500, "report artifact missing");
         resp.contentType = "text/html; charset=utf-8";
-        resp.chunked = true; // streamed from memory
         return resp;
     }
     if (artifact == "roofline.svg") {
@@ -408,7 +407,6 @@ ApiHandler::campaignRoute(const HttpRequest &req)
                          std::to_string(st.scenarioCount) + ")");
         }
         resp.contentType = "image/svg+xml";
-        resp.chunked = true;
         return resp;
     }
     return jsonError(404, "unknown artifact '" + artifact +
@@ -506,7 +504,6 @@ ApiHandler::dashz() const
     HttpResponse resp;
     resp.contentType = "text/html; charset=utf-8";
     resp.body = sampler_->renderDashHtml();
-    resp.chunked = true;
     return resp;
 }
 
@@ -536,7 +533,6 @@ ApiHandler::profilez(const HttpRequest &req) const
         resp.contentType = "image/svg+xml";
         resp.body = telemetry::renderFlamegraphSvg(
             profile.stacks, "roofline_serve CPU profile");
-        resp.chunked = true;
         return resp;
     }
     resp.contentType = "application/json";
@@ -582,7 +578,6 @@ ApiHandler::tracez(const HttpRequest &req) const
                                   "evicted)");
     }
     resp.contentType = "application/json";
-    resp.chunked = true;
     return resp;
 }
 

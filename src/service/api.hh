@@ -12,10 +12,9 @@
  *        position, execution stats, artifact links).
  *   GET  /v1/campaigns/<id>/analysis     analysis.json (schema v4),
  *        byte-identical to roofline_report's file output.
- *   GET  /v1/campaigns/<id>/report.html  the HTML report, streamed
- *        chunked from memory.
+ *   GET  /v1/campaigns/<id>/report.html  the HTML report.
  *   GET  /v1/campaigns/<id>/roofline.svg one scenario's SVG roofline
- *        (?scenario=N, default 0), streamed chunked.
+ *        (?scenario=N, default 0).
  *   GET  /healthz                        liveness + uptime.
  *   GET  /statsz                         queue depth, cache hit rate,
  *        in-flight counts, session and HTTP counters — a grouped JSON

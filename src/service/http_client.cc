@@ -1,9 +1,7 @@
 #include "service/http_client.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
-#include <cstring>
 #include <sstream>
 
 #include <arpa/inet.h>
@@ -40,44 +38,6 @@ readMore(int fd, std::string &buffer)
         if (errno == EINTR)
             continue;
         return false;
-    }
-}
-
-/**
- * Decode a chunked body starting at @p pos in @p buffer, reading more
- * bytes from @p fd as needed. On success @p pos is one past the
- * terminating CRLF of the zero chunk.
- */
-bool
-readChunkedBody(int fd, std::string &buffer, size_t &pos,
-                std::string *body)
-{
-    body->clear();
-    for (;;) {
-        size_t lineEnd;
-        while ((lineEnd = buffer.find("\r\n", pos)) ==
-               std::string::npos) {
-            if (!readMore(fd, buffer))
-                return false;
-        }
-        const std::string sizeLine =
-            trimWs(buffer.substr(pos, lineEnd - pos));
-        char *end = nullptr;
-        const unsigned long n =
-            std::strtoul(sizeLine.c_str(), &end, 16);
-        if (end == sizeLine.c_str())
-            return false;
-        pos = lineEnd + 2;
-        while (buffer.size() < pos + n + 2) {
-            if (!readMore(fd, buffer))
-                return false;
-        }
-        if (n == 0) {
-            pos += 2; // trailing CRLF of the last-chunk line
-            return true;
-        }
-        body->append(buffer, pos, n);
-        pos += n + 2; // chunk data + CRLF
     }
 }
 
@@ -161,25 +121,17 @@ HttpClient::tryRequest(const std::string &wire, ClientResponse *out)
         return tryRequest("", out);
     }
 
-    size_t pos = headEnd + 4;
-    const auto te = out->headers.find("transfer-encoding");
-    if (te != out->headers.end() &&
-        lowercase(te->second) == "chunked") {
-        if (!readChunkedBody(fd_, buffer_, pos, &out->body))
+    size_t len = 0;
+    const auto cl = out->headers.find("content-length");
+    if (cl != out->headers.end())
+        len = static_cast<size_t>(
+            std::strtoul(cl->second.c_str(), nullptr, 10));
+    const size_t pos = headEnd + 4 + len;
+    while (buffer_.size() < pos) {
+        if (!readMore(fd_, buffer_))
             return false;
-    } else {
-        size_t len = 0;
-        const auto cl = out->headers.find("content-length");
-        if (cl != out->headers.end())
-            len = static_cast<size_t>(
-                std::strtoul(cl->second.c_str(), nullptr, 10));
-        while (buffer_.size() < pos + len) {
-            if (!readMore(fd_, buffer_))
-                return false;
-        }
-        out->body = buffer_.substr(pos, len);
-        pos += len;
     }
+    out->body = buffer_.substr(headEnd + 4, len);
     buffer_.erase(0, pos);
 
     const auto conn = out->headers.find("connection");

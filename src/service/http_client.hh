@@ -3,8 +3,8 @@
  * Minimal blocking HTTP/1.1 client for the roofline service.
  *
  * In-repo counterpart of http_server.hh: enough protocol for the
- * service tests and perfbench — keep-alive connection reuse,
- * Content-Length and chunked response bodies — and nothing more. One
+ * service tests and perfbench — keep-alive connection reuse and
+ * Content-Length response bodies — and nothing more. One
  * HttpClient is one connection; it is not thread-safe (each concurrent
  * client owns its own instance).
  */

@@ -1,9 +1,7 @@
 #include "service/http_server.hh"
 
-#include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
 
@@ -345,8 +343,7 @@ namespace
 
 /** Serialize and send @p resp; @return bytes written (0 on error). */
 size_t
-writeResponse(int fd, const HttpResponse &resp, bool keepAlive,
-              size_t chunkBytes)
+writeResponse(int fd, const HttpResponse &resp, bool keepAlive)
 {
     // Fault-injection seam: a send fault reads as a transport error —
     // the caller closes the connection, exactly as for a real one.
@@ -369,46 +366,15 @@ writeResponse(int fd, const HttpResponse &resp, bool keepAlive,
     }
 
     // The whole response leaves in one gathered send: the head, then
-    // the body straight from resp.body (never copied). A chunked body
-    // interleaves its frames (size in hex and CRLF before each chunk,
-    // CRLF after it, a zero-size chunk at the end); each frame string
-    // also carries the CRLF that closes the chunk before it.
-    const size_t bodySize = resp.body.size();
-    char *const body = const_cast<char *>(resp.body.data());
-    std::vector<iovec> iov;
-    std::string frames;
-    if (resp.chunked) {
-        head += "Transfer-Encoding: chunked\r\n\r\n";
-        const size_t chunks = (bodySize + chunkBytes - 1) / chunkBytes;
-        // Capacity for every frame up front: the iovecs point into it.
-        constexpr size_t kMaxFrame = 2 + 16 + 2 + 2;
-        frames.reserve((chunks + 1) * kMaxFrame);
-        iov.reserve(2 * chunks + 2);
-        iov.push_back({head.data(), head.size()});
-        for (size_t i = 0; i <= chunks; ++i) {
-            const size_t off = i * chunkBytes;
-            const size_t n =
-                i < chunks ? std::min(chunkBytes, bodySize - off) : 0;
-            char frame[kMaxFrame + 1];
-            const int len = std::snprintf(frame, sizeof(frame),
-                                          "%s%zx\r\n%s", i ? "\r\n" : "",
-                                          n, n ? "" : "\r\n");
-            iov.push_back({frames.data() + frames.size(),
-                           static_cast<size_t>(len)});
-            frames.append(frame, static_cast<size_t>(len));
-            if (n)
-                iov.push_back({body + off, n});
-        }
-    } else {
-        head += "Content-Length: ";
-        head += std::to_string(bodySize);
-        head += "\r\n\r\n";
-        iov.push_back({head.data(), head.size()});
-        iov.push_back({body, bodySize});
-    }
-    if (!sendAllv(fd, iov.data(), iov.size()))
+    // the body straight from resp.body (never copied).
+    head += "Content-Length: ";
+    head += std::to_string(resp.body.size());
+    head += "\r\n\r\n";
+    iovec iov[2] = {{head.data(), head.size()},
+                    {const_cast<char *>(resp.body.data()), resp.body.size()}};
+    if (!sendAllv(fd, iov, 2))
         return 0;
-    return head.size() + frames.size() + bodySize;
+    return head.size() + resp.body.size();
 }
 
 } // namespace
@@ -431,7 +397,7 @@ HttpServer::serveConnection(int fd, const std::string &clientAddr)
                             ? "malformed request"
                             : "request too large";
             err.body += "\"}";
-            writeResponse(fd, err, false, opts_.chunkBytes);
+            writeResponse(fd, err, false);
             std::lock_guard<std::mutex> lock(statsMutex_);
             ++stats_.parseErrors;
             break;
@@ -458,8 +424,7 @@ HttpServer::serveConnection(int fd, const std::string &clientAddr)
             std::lock_guard<std::mutex> lock(statsMutex_);
             ++stats_.requestsServed;
         }
-        const size_t wrote =
-            writeResponse(fd, resp, keepAlive, opts_.chunkBytes);
+        const size_t wrote = writeResponse(fd, resp, keepAlive);
         {
             std::lock_guard<std::mutex> lock(statsMutex_);
             stats_.bytesOut += wrote;

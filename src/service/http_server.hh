@@ -16,8 +16,8 @@
  *     "Connection: close" and closing once the server is stopping;
  *   - "Expect: 100-continue" interim responses (curl sends this for
  *     larger POST bodies);
- *   - fixed-length responses (Content-Length) and chunked responses
- *     (Transfer-Encoding: chunked) for streamed artifacts;
+ *   - fixed-length responses only: every body is complete in memory
+ *     before its head is written, so each carries Content-Length;
  *   - graceful shutdown: stop() unblocks the accept loop, lets
  *     in-flight requests finish, and joins every thread. The
  *     roofline_serve CLI wires SIGINT/SIGTERM to stop().
@@ -76,8 +76,6 @@ struct HttpResponse
     /** Extra response headers (e.g. Retry-After on 429), emitted
      *  verbatim after the standard ones. */
     std::vector<std::pair<std::string, std::string>> headers;
-    /** Stream the body as Transfer-Encoding: chunked (artifacts). */
-    bool chunked = false;
     /** Force "Connection: close" after this response. */
     bool closeConnection = false;
 };
@@ -98,8 +96,6 @@ struct HttpServerOptions
     int workers = 16;
     /** Reject requests larger than this (413). */
     size_t maxRequestBytes = 1 << 20;
-    /** Chunk size for chunked responses. */
-    size_t chunkBytes = 16 * 1024;
 };
 
 /** Monotonic counters, exposed by /statsz. */

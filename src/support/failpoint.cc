@@ -1,5 +1,6 @@
 #include "support/failpoint.hh"
 
+#include <cerrno>
 #include <chrono>
 #include <cstdlib>
 #include <map>
@@ -92,8 +93,9 @@ parseSpec(const std::string &name, const std::string &spec, Armed &out,
         const std::string arg =
             action.substr(6, action.size() - 7);
         char *end = nullptr;
+        errno = 0;
         const long ms = std::strtol(arg.c_str(), &end, 10);
-        if (end == arg.c_str() || *end != '\0' || ms < 0)
+        if (end == arg.c_str() || *end != '\0' || ms < 0 || errno != 0)
             return bad("sleep wants a millisecond count");
         out.action = Action::Sleep;
         out.sleepMs = static_cast<uint64_t>(ms);
@@ -114,13 +116,16 @@ parseSpec(const std::string &name, const std::string &spec, Armed &out,
         char *end = nullptr;
         if (key == "p") {
             const double p = std::strtod(value.c_str(), &end);
-            if (end == value.c_str() || *end != '\0' || p < 0.0 ||
-                p > 1.0)
+            // Written so NaN fails too: it compares false both ways.
+            if (end == value.c_str() || *end != '\0' ||
+                !(p >= 0.0 && p <= 1.0))
                 return bad("p wants a probability in [0,1]");
             out.probability = p;
         } else if (key == "count") {
+            errno = 0;
             const long n = std::strtol(value.c_str(), &end, 10);
-            if (end == value.c_str() || *end != '\0' || n < 1)
+            if (end == value.c_str() || *end != '\0' || n < 1 ||
+                errno != 0)
                 return bad("count wants a positive integer");
             out.maxCount = static_cast<uint64_t>(n);
         } else {

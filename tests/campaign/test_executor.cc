@@ -19,6 +19,7 @@
 #include "campaign/executor.hh"
 #include "campaign/serialize.hh"
 #include "campaign/sink.hh"
+#include "roofline/native_measurement.hh"
 #include "support/cancel.hh"
 #include "support/failpoint.hh"
 #include "support/json.hh"
@@ -486,6 +487,17 @@ TEST(CampaignExecutor, NativeJobsRunAfterThePoolDrains)
     }
     ASSERT_GT(natives, 0u);
     EXPECT_LT(lastSim, firstNative);
+
+    // Measured or placeholder, a hardware row carries the host's
+    // resolved lanes (never the sim's lanes=0) and its analytic W.
+    for (const Job &job : run.jobs) {
+        if (job.kind != JobKind::NativeMeasure)
+            continue;
+        const rfl::roofline::Measurement &m = run.results[job.id].measurement;
+        EXPECT_EQ(m.lanes, rfl::roofline::hostLanes(
+                               spec.variants()[job.variantIndex].opts.measure));
+        EXPECT_GT(m.expectedFlops, 0.0);
+    }
 }
 
 TEST(CampaignExecutor, GridLookupsWork)

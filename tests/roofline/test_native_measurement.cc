@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "kernels/daxpy.hh"
+#include "kernels/fft.hh"
 #include "kernels/registry.hh"
 #include "roofline/native_measurement.hh"
 
@@ -12,13 +13,21 @@ namespace
 using namespace rfl;
 using namespace rfl::roofline;
 
+/** One cold repetition: each streams an eviction buffer of 2x the LLC. */
+MeasureOptions
+coldOnce()
+{
+    MeasureOptions opts;
+    opts.repetitions = 1;
+    return opts;
+}
+
 TEST(NativeMeasurer, WorkIsCounterExact)
 {
     NativeMeasurer nm;
     kernels::Daxpy daxpy(1 << 16);
-    NativeMeasureOptions opts;
+    MeasureOptions opts;
     opts.repetitions = 2;
-    opts.flushBufferBytes = 1 << 20; // keep the test fast
     const NativeMeasurement r = nm.measure(daxpy, opts);
     EXPECT_DOUBLE_EQ(r.base.flops, 2.0 * (1 << 16));
     EXPECT_DOUBLE_EQ(r.base.workError(), 0.0);
@@ -29,36 +38,54 @@ TEST(NativeMeasurer, TrafficIsAnalyticModel)
 {
     NativeMeasurer nm;
     kernels::Daxpy daxpy(1 << 14);
-    NativeMeasureOptions opts;
-    opts.repetitions = 1;
-    opts.flushBufferBytes = 1 << 20;
-    const NativeMeasurement r = nm.measure(daxpy, opts);
+    const NativeMeasurement r = nm.measure(daxpy, coldOnce());
     EXPECT_EQ(r.trafficSource, "analytic");
     EXPECT_DOUBLE_EQ(r.base.trafficBytes,
                      daxpy.expectedColdTrafficBytes());
     EXPECT_GT(r.base.oi(), 0.0);
 }
 
+TEST(NativeMeasurer, ColdRowUsesTheHostLlc)
+{
+    // The fft traffic model picks its regime by the LLC it is told of.
+    // An fft whose working set (24n bytes) lies above 8 MiB, the size
+    // the host plane once assumed, but inside the host's own LLC must
+    // report the fits-LLC model of 40n bytes. On a host whose LLC is
+    // not above 8 MiB the largest fft that fits that LLC stands in.
+    const uint64_t llc = hostLlcBytes();
+    size_t n = 4;
+    while (24 * n <= (8ull << 20) && 24 * (2 * n) <= llc)
+        n *= 2;
+    kernels::Fft fft(n);
+    ASSERT_LE(fft.workingSetBytes(), llc);
+
+    NativeMeasurer nm;
+    const NativeMeasurement r = nm.measure(fft, coldOnce());
+    EXPECT_EQ(fft.llcHintBytes(), llc);
+    EXPECT_DOUBLE_EQ(r.base.expectedTrafficBytes, 40.0 * n) << "n=" << n;
+    EXPECT_DOUBLE_EQ(r.base.trafficBytes, 40.0 * n) << "n=" << n;
+}
+
 TEST(NativeMeasurer, WarmProtocolUsesWarmModel)
 {
     NativeMeasurer nm;
     kernels::Daxpy daxpy(1 << 12); // 64 KiB: resident in any LLC
-    NativeMeasureOptions opts;
+    MeasureOptions opts;
     opts.protocol = CacheProtocol::Warm;
     opts.repetitions = 1;
     const NativeMeasurement r = nm.measure(daxpy, opts);
     EXPECT_DOUBLE_EQ(r.base.trafficBytes, 0.0);
     EXPECT_EQ(r.base.protocol, "warm");
+    // lanes = 0 resolves to the 256-bit host engine.
+    EXPECT_EQ(r.base.lanes, 4);
 }
 
 TEST(NativeMeasurer, MultiThreadedRunComputesSameWork)
 {
     NativeMeasurer nm;
-    NativeMeasureOptions one;
-    one.repetitions = 1;
-    one.flushBufferBytes = 1 << 20;
-    NativeMeasureOptions four = one;
-    four.threads = 4;
+    const MeasureOptions one = coldOnce();
+    MeasureOptions four = one;
+    four.cores = {0, 1, 2, 3};
 
     kernels::Daxpy k1(1 << 16);
     const NativeMeasurement r1 = nm.measure(k1, one);
@@ -75,9 +102,9 @@ TEST(NativeMeasurer, RepetitionStatisticsPopulated)
 {
     NativeMeasurer nm;
     kernels::Daxpy daxpy(1 << 12);
-    NativeMeasureOptions opts;
+    MeasureOptions opts;
+    opts.protocol = CacheProtocol::Warm;
     opts.repetitions = 5;
-    opts.flushBufferBytes = 1 << 20;
     const NativeMeasurement r = nm.measure(daxpy, opts);
     EXPECT_EQ(r.base.secondsSample.count(), 5u);
     EXPECT_EQ(r.base.flopsSample.count(), 5u);
@@ -89,8 +116,8 @@ TEST(NativeMeasurerDeath, NonParallelizableKernelRejectsThreads)
 {
     NativeMeasurer nm;
     const auto fft = kernels::createKernel("fft:n=256");
-    NativeMeasureOptions opts;
-    opts.threads = 2;
+    MeasureOptions opts;
+    opts.cores = {0, 1};
     EXPECT_EXIT(nm.measure(*fft, opts), ::testing::ExitedWithCode(1),
                 "multi-threaded");
 }
@@ -99,55 +126,37 @@ TEST(NativeMeasurer, ScalarLanesWork)
 {
     NativeMeasurer nm;
     kernels::Daxpy daxpy(1 << 12);
-    NativeMeasureOptions opts;
+    MeasureOptions opts = coldOnce();
     opts.lanes = 1;
-    opts.repetitions = 1;
-    opts.flushBufferBytes = 1 << 20;
     const NativeMeasurement r = nm.measure(daxpy, opts);
     EXPECT_EQ(r.base.lanes, 1);
     EXPECT_DOUBLE_EQ(r.base.flops, 2.0 * (1 << 12));
 }
 
-TEST(NativeMeasurer, NoPerfFallbackIsDeterministic)
+TEST(NativeMeasurer, PerfFlagIsConsistent)
 {
-    // The degraded path CI always takes: perf disabled outright. The
-    // measurement must still be complete — W from the software
-    // retirement counters, Q from the analytic model — and labeled as
-    // such, so consumers never mistake a fallback row for silicon
-    // counter data.
     NativeMeasurer nm;
     kernels::Daxpy daxpy(1 << 14);
-    NativeMeasureOptions opts;
-    opts.usePerf = false;
+    MeasureOptions opts;
     opts.repetitions = 2;
-    opts.flushBufferBytes = 1 << 20;
     const NativeMeasurement r = nm.measure(daxpy, opts);
+    // With or without perf the row is complete: W from the engine's
+    // software flop counters (exact), Q from the analytic model, and
+    // labeled as such, so consumers never mistake it for silicon
+    // counter data.
     EXPECT_EQ(r.trafficSource, "analytic");
-    EXPECT_FALSE(r.perfLive);
-    EXPECT_EQ(r.perfCycles, 0u);
-    // W comes from the engine's software flop counters: exact.
     EXPECT_DOUBLE_EQ(r.base.flops, 2.0 * (1 << 14));
     EXPECT_DOUBLE_EQ(r.base.workError(), 0.0);
     EXPECT_DOUBLE_EQ(r.base.trafficBytes,
                      daxpy.expectedColdTrafficBytes());
-    // Provenance: a hardware-path row, full quality (no multiplexing
-    // can degrade counters that were never opened), available.
     EXPECT_EQ(r.base.backend, "perf");
-    EXPECT_DOUBLE_EQ(r.base.quality, 1.0);
     EXPECT_TRUE(r.base.available);
-}
-
-TEST(NativeMeasurer, PerfFlagIsConsistent)
-{
-    NativeMeasurer nm;
-    kernels::Daxpy daxpy(1 << 12);
-    NativeMeasureOptions opts;
-    opts.repetitions = 1;
-    opts.flushBufferBytes = 1 << 20;
-    const NativeMeasurement r = nm.measure(daxpy, opts);
     if (!nm.perfAvailable()) {
+        // The path CI takes. No multiplexing can degrade counters that
+        // were never opened: full quality.
         EXPECT_FALSE(r.perfLive);
         EXPECT_EQ(r.perfCycles, 0u);
+        EXPECT_DOUBLE_EQ(r.base.quality, 1.0);
     } else {
         EXPECT_TRUE(r.perfLive);
         EXPECT_GT(r.perfCycles, 0u);

@@ -1,7 +1,7 @@
 /**
  * @file
  * End-to-end HTTP tests: real sockets against a real server. Covers
- * the protocol surface (keep-alive, chunked transfer, error codes),
+ * the protocol surface (keep-alive, Content-Length framing, error codes),
  * the API contract, rate limiting, and the acceptance requirement
  * that artifact endpoints byte-match the offline CLI artifact files
  * for the same spec.
@@ -277,8 +277,6 @@ TEST_F(HttpServiceTest, ArtifactEndpointsByteMatchOfflineCli)
     ASSERT_TRUE(client.request(
         "GET", "/v1/campaigns/" + id + "/report.html", &resp));
     EXPECT_EQ(resp.status, 200);
-    EXPECT_EQ(resp.headers["transfer-encoding"], "chunked")
-        << "artifacts stream chunked";
     EXPECT_EQ(resp.body, slurp(paths.html))
         << "served report.html differs from the CLI file";
 
